@@ -1,7 +1,7 @@
 """Host speed, measured with a fixed pure-Python reference loop.
 
-The sandbox this benchmark runs in shares its cores with other tenants, and
-their load moves the host's speed by tens of percent from minute to minute.
+On a virtual machine whose cores other tenants share, their load moves the
+host's speed by tens of percent from minute to minute.
 The benchmark samples the reference loop between cells over a whole run (and
 around every set-up probe) and reports times scaled to a host on which the
 loop takes :data:`NOMINAL_S`: ``scaled = measured * NOMINAL_S / reference``,
