@@ -108,7 +108,10 @@ class Checker:
         self.errors: list[str] = []
 
     def fail(self, message: str) -> None:
+        """Count a failure; its message also goes to standard error at
+        once, so a run that ends badly still shows what failed."""
         self.failed += 1
+        print(f"FAILED {message}", file=sys.stderr, flush=True)
         if len(self.errors) < 10:
             self.errors.append(message)
 

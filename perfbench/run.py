@@ -24,6 +24,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -126,8 +127,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     started = time.perf_counter()
-    workdir = ROOT / ".perfbench-work" / str(os.getpid())
-    workdir.mkdir(parents=True, exist_ok=True)
+    # A fresh directory per run, even when runs share a checkout and a pid.
+    (ROOT / ".perfbench-work").mkdir(exist_ok=True)
+    workdir = Path(tempfile.mkdtemp(prefix=f"{os.getpid()}-",
+                                    dir=ROOT / ".perfbench-work"))
     try:
         setup = [_probe_setup(args) for _ in range(SETUP_PROBES)]
         remaining = RUN_LIMIT_S - (time.perf_counter() - started)
