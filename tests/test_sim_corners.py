@@ -3,24 +3,28 @@
 These tests lock the exact observable behavior of the scheduler --
 interleaving of same-time events, interrupt-during-wait, composite events
 with already-triggered children, ``run(until=event)`` failure handling --
-so the fast-path kernel (immediate-event deque, object pooling) provably
-preserves the semantics of the original heap-only kernel.  Every test runs
-against both kernels via the ``kernel`` fixture.
+and the trace-identity workloads at the bottom compare whole traces against
+the golden fixture recorded when the heap-only, pre-wheel and timer-wheel
+kernels still existed side by side (``tests/golden/kernel_traces.json``).
+
+Every test runs on two schedules of the one kernel: ``fast`` (the default
+timer wheel) and ``prewheel`` (a zero wheel horizon, which sends every
+delayed event down the heap cascade -- the pre-wheel schedule).
 """
 
 import pytest
+from golden_fixtures import SCHEDULES, assert_trace_matches
 
 from repro.sim import Interrupt, Resource, Simulator
 from repro.sim.events import SimulationError
 
 
-@pytest.fixture(params=["fast", "prewheel", "legacy"])
+@pytest.fixture(params=sorted(SCHEDULES))
 def make_sim(request):
-    """Simulator factory for every kernel variant: the timer-wheel fast
-    path (default), the pre-wheel fast path, and the legacy kernel."""
+    """Simulator factory for each schedule: the timer wheel and the
+    heap-only (zero horizon) routing of delayed events."""
     def factory():
-        return Simulator(fast_path=(request.param != "legacy"),
-                         timer_wheel=(request.param == "fast"))
+        return Simulator(**SCHEDULES[request.param])
     return factory
 
 
@@ -332,218 +336,208 @@ def test_condition_children_survive_heavy_timeout_churn(make_sim):
     assert seen == [["early", "late"]]
 
 
-#: The three kernel variants that must stay bit-identical: the legacy
-#: heap-only kernel, the pre-wheel fast path, and the timer-wheel fast path.
-KERNEL_VARIANTS = (
-    {"fast_path": False},
-    {"fast_path": True, "timer_wheel": False},
-    {"fast_path": True, "timer_wheel": True},
-)
+# ---------------------------------------------------------------------------
+# Trace identity against the golden fixture: resources, stores, conditions,
+# zero-delay churn, inline grants, batched token buckets, pooled submissions
+# ---------------------------------------------------------------------------
+
+def _trace_mixed_workers(sim):
+    """Resources, zero-delay events and timeouts across four workers."""
+    resource = Resource(sim, capacity=2)
+    trace = []
+
+    def worker(label, delay):
+        for i in range(5):
+            yield resource.request()
+            trace.append((sim.now, label, i))
+            yield sim.timeout(delay)
+            resource.release()
+            yield sim.timeout(0)
+
+    for label, delay in (("a", 3.0), ("b", 2.0), ("c", 0.0), ("d", 1.5)):
+        sim.process(worker(label, delay))
+    sim.run()
+    return trace
 
 
-def test_fast_legacy_and_wheel_kernels_produce_identical_traces():
-    """End-to-end determinism check: a workload mixing resources, stores,
-    conditions, and zero-delay events runs identically on all kernels."""
-    def run_workload(**kernel):
-        sim = Simulator(**kernel)
-        resource = Resource(sim, capacity=2)
-        trace = []
+def _trace_horizon_ties(sim):
+    """Delays straddling a 50us wheel horizon (slots vs heap cascade),
+    colliding deadlines, and zero-delay events -- including exact time
+    ties between a heap entry and a wheel slot for the same deadline."""
+    import random
+    out = []
 
-        def worker(label, delay):
-            for i in range(5):
-                yield resource.request()
-                trace.append((sim.now, label, i))
-                yield sim.timeout(delay)
-                resource.release()
-                yield sim.timeout(0)
+    def worker(wid):
+        rng = random.Random(wid)
+        for i in range(40):
+            delay = rng.choice(
+                [0.0, 0.5, 1.0, 1.0, 7.25, 49.9, 50.0, 50.1, 200.0])
+            yield sim.timeout(delay)
+            out.append((sim.now, wid, i))
 
-        for label, delay in (("a", 3.0), ("b", 2.0), ("c", 0.0), ("d", 1.5)):
-            sim.process(worker(label, delay))
-        sim.run()
-        return trace
+    for wid in range(16):
+        sim.process(worker(wid))
+    sim.run()
+    return out
 
-    legacy, prewheel, wheel = (run_workload(**kernel)
-                               for kernel in KERNEL_VARIANTS)
-    assert legacy == prewheel == wheel
+
+def _trace_resource_grants(sim):
+    """Inline uncontended grants and queued contended grants: phases of a
+    single worker (always uncontended) alternate with phases of four
+    workers fighting over two slots."""
+    resource = Resource(sim, capacity=2)
+    trace = []
+
+    def solo():
+        for i in range(6):
+            yield resource.request()
+            trace.append(("solo", sim.now, i, resource.users,
+                          resource.queue_length))
+            yield sim.timeout(1.0)
+            resource.release()
+            yield sim.timeout(9.0)  # drain: next acquire is uncontended
+
+    def crowd(label):
+        yield sim.timeout(20.0)  # overlap the middle solo phases
+        for i in range(4):
+            yield resource.request()
+            trace.append((label, sim.now, i, resource.users,
+                          resource.queue_length))
+            yield sim.timeout(2.5)
+            resource.release()
+
+    sim.process(solo())
+    for label in ("w0", "w1", "w2", "w3"):
+        sim.process(crowd(label))
+    sim.run()
+    return trace
+
+
+def _trace_token_bucket(sim):
+    """Covered amounts (batched single grant), amounts above capacity
+    (forced multi-slice), and FIFO contention between consumers."""
+    from repro.sim.resources import TokenBucket
+    bucket = TokenBucket(sim, rate=4.0, capacity=64.0)
+    trace = []
+
+    def consumer(label, amounts, start):
+        yield sim.timeout(start)
+        for i, amount in enumerate(amounts):
+            if amount > 16.0:
+                yield from bucket.consume_sliced(amount)
+            else:
+                yield bucket.consume(amount)
+            trace.append((label, sim.now, i, round(bucket.tokens, 9)))
+
+    # a: uncontended covered grants; b/c: contended, straddling
+    # capacity (sliced) and sub-slice amounts interleaved FIFO.
+    sim.process(consumer("a", [8.0, 8.0, 8.0], 0.0))
+    sim.process(consumer("b", [48.0, 96.0], 5.0))
+    sim.process(consumer("c", [4.0, 4.0, 120.0], 5.0))
+    sim.run()
+    return trace
+
+
+def _trace_interrupted_waiter(sim):
+    """Cancel-while-waiting, including the slot that passes through the
+    interrupted waiter's orphaned grant event."""
+    resource = Resource(sim, capacity=1)
+    trace = []
+
+    def holder():
+        yield resource.request()
+        trace.append(("holder", sim.now))
+        yield sim.timeout(30.0)
+        resource.release()
+
+    def waiter(label):
+        try:
+            yield resource.request()
+            trace.append((label, sim.now))
+            yield sim.timeout(5.0)
+            resource.release()
+        except Interrupt as interrupt:
+            trace.append((label, "interrupted", sim.now, interrupt.cause))
+
+    def interrupter(target):
+        yield sim.timeout(10.0)
+        target.interrupt("cancelled")
+
+    sim.process(holder())
+    target = sim.process(waiter("victim"))
+    sim.process(waiter("survivor"))
+    sim.process(interrupter(target))
+    sim.run()
+    return trace
+
+
+def _trace_pooled_submissions(sim):
+    """Pooled device submissions surrounded by heavy zero-delay churn."""
+    from repro.devices.loopback import LoopbackDevice
+    device = LoopbackDevice(sim, capacity_bytes=1 << 20,
+                            service_time_us=2.0, service_slots=2)
+    trace = []
+
+    def churn():
+        for _ in range(64):
+            yield sim.timeout(0)
+
+    def issuer(label, offset):
+        for i in range(8):
+            request = yield device.read(offset + i * 4096, 4096)
+            trace.append((label, sim.now, i,
+                          request.complete_time - request.submit_time))
+            yield sim.timeout(0)
+
+    sim.process(churn())
+    sim.process(issuer("x", 0))
+    sim.process(issuer("y", 1 << 19))
+    sim.process(churn())
+    sim.run()
+    return (trace, device.stats.reads_completed, device.stats.bytes_read)
+
+
+#: Trace-identity workloads: ``name -> (workload(sim) -> trace, Simulator
+#: kwargs)``.  ``tests/golden_fixtures.py`` records them.
+TRACE_WORKLOADS = {
+    "mixed_workers": (_trace_mixed_workers, {}),
+    "horizon_ties": (_trace_horizon_ties, {"wheel_horizon_us": 50.0}),
+    "resource_grants": (_trace_resource_grants, {}),
+    "token_bucket": (_trace_token_bucket, {}),
+    "interrupted_waiter": (_trace_interrupted_waiter, {}),
+    "pooled_submissions": (_trace_pooled_submissions, {}),
+}
+
+
+def _check(name):
+    assert_trace_matches("test_sim_corners", TRACE_WORKLOADS, name)
+
+
+def test_mixed_workload_trace_matches_golden():
+    """End-to-end determinism: resources, zero-delay events and timeouts."""
+    _check("mixed_workers")
 
 
 def test_kernel_variants_identical_across_horizon_and_time_ties():
-    """Randomized cross-check: delays straddling the wheel horizon (slots
-    vs heap cascade), colliding deadlines, and zero-delay events must order
-    identically on every kernel -- including at exact time ties between a
-    heap entry (far-scheduled) and a wheel slot (near-scheduled) for the
-    same deadline."""
-    import random
-
-    def run_workload(**kernel):
-        sim = Simulator(wheel_horizon_us=50.0, **kernel)
-        out = []
-
-        def worker(wid):
-            rng = random.Random(wid)
-            for i in range(40):
-                delay = rng.choice(
-                    [0.0, 0.5, 1.0, 1.0, 7.25, 49.9, 50.0, 50.1, 200.0])
-                yield sim.timeout(delay)
-                out.append((sim.now, wid, i))
-
-        for wid in range(16):
-            sim.process(worker(wid))
-        sim.run()
-        return out
-
-    legacy, prewheel, wheel = (run_workload(**kernel)
-                               for kernel in KERNEL_VARIANTS)
-    assert legacy == prewheel == wheel
-
-
-# ---------------------------------------------------------------------------
-# Fast-path flattening: inline resource grants, batched token buckets, and
-# pooled submission processes must trace bit-identically on every kernel
-# ---------------------------------------------------------------------------
-
-def _run_on_all_kernels(workload):
-    return tuple(workload(Simulator(**kernel)) for kernel in KERNEL_VARIANTS)
+    _check("horizon_ties")
 
 
 def test_resource_grants_trace_identically_contended_and_uncontended():
-    """The inline uncontended grant (no event allocation, no scheduler
-    bounce) and the queued contended grant must produce the same trace:
-    phases of a single worker (always uncontended) alternate with phases
-    of four workers fighting over two slots."""
-    def workload(sim):
-        from repro.sim import Resource
-        resource = Resource(sim, capacity=2)
-        trace = []
-
-        def solo():
-            for i in range(6):
-                yield resource.request()
-                trace.append(("solo", sim.now, i, resource.users,
-                              resource.queue_length))
-                yield sim.timeout(1.0)
-                resource.release()
-                yield sim.timeout(9.0)  # drain: next acquire is uncontended
-
-        def crowd(label):
-            yield sim.timeout(20.0)  # overlap the middle solo phases
-            for i in range(4):
-                yield resource.request()
-                trace.append((label, sim.now, i, resource.users,
-                              resource.queue_length))
-                yield sim.timeout(2.5)
-                resource.release()
-
-        sim.process(solo())
-        for label in ("w0", "w1", "w2", "w3"):
-            sim.process(crowd(label))
-        sim.run()
-        return trace
-
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    _check("resource_grants")
 
 
 def test_token_bucket_batched_grants_trace_identically():
     """`consume_sliced` collapses a fully-covered transfer into one grant
-    and `consume` grants inline when uncontended; both must keep grant
-    times identical to the generic queued path on every kernel.  The
-    workload mixes covered amounts (batched single grant), amounts above
-    capacity (forced multi-slice), and FIFO contention between workers."""
-    def workload(sim):
-        from repro.sim.resources import TokenBucket
-        bucket = TokenBucket(sim, rate=4.0, capacity=64.0)
-        trace = []
-
-        def consumer(label, amounts, start):
-            yield sim.timeout(start)
-            for i, amount in enumerate(amounts):
-                if amount > 16.0:
-                    yield from bucket.consume_sliced(amount)
-                else:
-                    yield bucket.consume(amount)
-                trace.append((label, sim.now, i, round(bucket.tokens, 9)))
-
-        # a: uncontended covered grants; b/c: contended, straddling
-        # capacity (sliced) and sub-slice amounts interleaved FIFO.
-        sim.process(consumer("a", [8.0, 8.0, 8.0], 0.0))
-        sim.process(consumer("b", [48.0, 96.0], 5.0))
-        sim.process(consumer("c", [4.0, 4.0, 120.0], 5.0))
-        sim.run()
-        return trace
-
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    and `consume` grants inline when uncontended; both keep the grant
+    times of the generic queued path."""
+    _check("token_bucket")
 
 
 def test_interrupted_resource_waiter_traces_identically():
-    """Interrupting a queued waiter (cancel-while-waiting) must leave the
-    same grant order and timestamps on every kernel, including the slot
-    that passes through the interrupted waiter's orphaned event."""
-    def workload(sim):
-        from repro.sim import Resource
-        resource = Resource(sim, capacity=1)
-        trace = []
-
-        def holder():
-            yield resource.request()
-            trace.append(("holder", sim.now))
-            yield sim.timeout(30.0)
-            resource.release()
-
-        def waiter(label):
-            try:
-                yield resource.request()
-                trace.append((label, sim.now))
-                yield sim.timeout(5.0)
-                resource.release()
-            except Interrupt as interrupt:
-                trace.append((label, "interrupted", sim.now, interrupt.cause))
-
-        def interrupter(target):
-            yield sim.timeout(10.0)
-            target.interrupt("cancelled")
-
-        sim.process(holder())
-        target = sim.process(waiter("victim"))
-        sim.process(waiter("survivor"))
-        sim.process(interrupter(target))
-        sim.run()
-        return trace
-
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    _check("interrupted_waiter")
 
 
 def test_pooled_device_submissions_trace_identically_with_zero_delay_churn():
-    """Device submissions ride pooled processes on the fast path
-    (``spawn_process``); heavy zero-delay churn around them must not
-    perturb completion order or timestamps on any kernel -- and the
-    flattened pipeline must complete requests identically to the
-    pre-refactor ``_complete`` trampoline."""
-    def workload(sim):
-        from repro.devices.loopback import LoopbackDevice
-        device = LoopbackDevice(sim, capacity_bytes=1 << 20,
-                                service_time_us=2.0, service_slots=2)
-        trace = []
-
-        def churn():
-            for _ in range(64):
-                yield sim.timeout(0)
-
-        def issuer(label, offset):
-            for i in range(8):
-                request = yield device.read(offset + i * 4096, 4096)
-                trace.append((label, sim.now, i,
-                              request.complete_time - request.submit_time))
-                yield sim.timeout(0)
-
-        sim.process(churn())
-        sim.process(issuer("x", 0))
-        sim.process(issuer("y", 1 << 19))
-        sim.process(churn())
-        sim.run()
-        return (trace, device.stats.reads_completed, device.stats.bytes_read)
-
-    legacy, prewheel, wheel = _run_on_all_kernels(workload)
-    assert legacy == prewheel == wheel
+    """Submissions ride pooled processes (``spawn_process``); zero-delay
+    churn around them must not perturb completion order or timestamps."""
+    _check("pooled_submissions")

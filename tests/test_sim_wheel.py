@@ -1,62 +1,66 @@
-"""Timer-wheel edge cases (``Simulator(timer_wheel=True)``, the default).
+"""Timer-wheel edge cases.
 
 The wheel buckets near-future deadlines in exact-deadline slots and moves
 a whole slot onto the immediate deque when the clock reaches it; far-future
 deadlines cascade straight to the heap.  These tests pin the corners of
 that design: timeouts cancelled (interrupted) while they sit on the wheel,
 the slot-vs-heap cascade at the horizon boundary, interleaving with
-zero-delay FIFO events, and the schedule-introspection helpers.
+zero-delay FIFO events, and the schedule-introspection helpers.  The
+trace workloads (``TRACE_WORKLOADS``) must reproduce the traces recorded
+in ``tests/golden/kernel_traces.json`` on both the wheel and the heap-only
+(zero horizon) schedule.
 """
 
 import pytest
+from golden_fixtures import assert_trace_matches
 
 from repro.sim import Interrupt, Simulator
 from repro.sim.engine import DEFAULT_WHEEL_HORIZON_US, EmptySchedule
 
 
-def all_kernels(workload):
-    """Run ``workload`` on every kernel variant, returning the three logs."""
-    return [workload(Simulator(fast_path=fast, timer_wheel=wheel))
-            for fast, wheel in ((False, False), (True, False), (True, True))]
+def golden_trace(name):
+    """Check workload ``name`` against its recorded trace on every
+    schedule; return the recorded trace."""
+    return assert_trace_matches("test_sim_wheel", TRACE_WORKLOADS, name)
 
 
 # ---------------------------------------------------------------------------
 # Cancellation while on the wheel
 # ---------------------------------------------------------------------------
 
+def _trace_cancelled_on_wheel(sim):
+    log = []
+
+    def sleeper(label):
+        try:
+            yield sim.timeout(10.0)
+            log.append((sim.now, label, "woke"))
+        except Interrupt as interrupt:
+            log.append((sim.now, label, f"interrupted:{interrupt.cause}"))
+            yield sim.timeout(10.0)
+            log.append((sim.now, label, "woke-late"))
+
+    victims = [sim.process(sleeper(label)) for label in "abc"]
+
+    def canceller():
+        yield sim.timeout(4.0)
+        victims[1].interrupt("cancel")
+
+    sim.process(canceller())
+    sim.run()
+    return log
+
+
 def test_timeout_cancelled_while_on_the_wheel_fires_harmlessly():
     """Interrupting a process detaches it from the timeout it waits on; the
     timeout stays scheduled in its wheel slot and must fire as a no-op
     without perturbing the ordering of its slot neighbours."""
-    def workload(sim):
-        log = []
-
-        def sleeper(label):
-            try:
-                yield sim.timeout(10.0)
-                log.append((sim.now, label, "woke"))
-            except Interrupt as interrupt:
-                log.append((sim.now, label, f"interrupted:{interrupt.cause}"))
-                yield sim.timeout(10.0)
-                log.append((sim.now, label, "woke-late"))
-
-        victims = [sim.process(sleeper(label)) for label in "abc"]
-
-        def canceller():
-            yield sim.timeout(4.0)
-            victims[1].interrupt("cancel")
-
-        sim.process(canceller())
-        sim.run()
-        return log
-
-    legacy, prewheel, wheel = all_kernels(workload)
-    assert legacy == prewheel == wheel
-    assert (4.0, "b", "interrupted:cancel") in wheel
-    assert (14.0, "b", "woke-late") in wheel
+    wheel = golden_trace("cancelled_on_wheel")
+    assert [4.0, "b", "interrupted:cancel"] in wheel
+    assert [14.0, "b", "woke-late"] in wheel
     # The uncancelled slot neighbours still fire at the original deadline.
     assert [entry for entry in wheel if entry[0] == 10.0] == \
-        [(10.0, "a", "woke"), (10.0, "c", "woke")]
+        [[10.0, "a", "woke"], [10.0, "c", "woke"]]
 
 
 def test_cancelled_slot_timeout_does_not_block_run_completion():
@@ -94,32 +98,30 @@ def test_delays_beyond_the_horizon_cascade_to_the_heap():
     assert sim.peek() == 100.0
 
 
+def _trace_same_deadline_merge(sim):
+    log = []
+
+    def waiter(label, start, delay):
+        yield sim.timeout(start)
+        yield sim.timeout(delay)
+        log.append((sim.now, label))
+        yield sim.timeout(0)
+        log.append((sim.now, label + "-relay"))
+
+    # Both reach t=200: "far" schedules 200 out at t=0 (heap), "near"
+    # schedules 50 out at t=150 (wheel slot).
+    sim.process(waiter("far", 0.0, 200.0))
+    sim.process(waiter("near", 150.0, 50.0))
+    sim.run()
+    return log
+
+
 def test_wheel_and_heap_entries_at_the_same_deadline_merge_by_sequence():
     """The same absolute deadline can be reached from the heap (scheduled
     when it was beyond the horizon) and from a wheel slot (scheduled
     closer in); processing must follow scheduling order exactly."""
-    def workload(sim):
-        log = []
-
-        def waiter(label, start, delay):
-            yield sim.timeout(start)
-            yield sim.timeout(delay)
-            log.append((sim.now, label))
-            yield sim.timeout(0)
-            log.append((sim.now, label + "-relay"))
-
-        # Both reach t=200: "far" schedules 200 out at t=0 (heap), "near"
-        # schedules 50 out at t=150 (wheel slot).
-        sim.process(waiter("far", 0.0, 200.0))
-        sim.process(waiter("near", 150.0, 50.0))
-        sim.run()
-        return log
-
-    runs = [workload(Simulator(fast_path=fast, timer_wheel=wheel,
-                               wheel_horizon_us=100.0))
-            for fast, wheel in ((False, False), (True, False), (True, True))]
-    assert runs[0] == runs[1] == runs[2]
-    assert [label for _, label in runs[2]] == \
+    log = golden_trace("same_deadline_merge")
+    assert [label for _, label in log] == \
         ["far", "near", "far-relay", "near-relay"]
 
 
@@ -134,56 +136,54 @@ def test_default_horizon_is_generous_but_finite():
 # Zero-delay FIFO interleaving
 # ---------------------------------------------------------------------------
 
+def _trace_slot_batch_fifo(sim):
+    log = []
+
+    def ticker(label, delay):
+        yield sim.timeout(delay)
+        log.append((sim.now, label))
+        yield sim.timeout(0)
+        log.append((sim.now, label + "-echo"))
+
+    for index in range(4):
+        sim.process(ticker(f"t{index}", 7.0))
+    sim.run()
+    return log
+
+
 def test_slot_batch_preserves_fifo_against_zero_delay_events():
     """When a slot's deadline arrives, its entries must run before any
     zero-delay event scheduled *by* them, but after zero-delay events of a
     same-time heap dispatch that preceded the slot by sequence number."""
-    def workload(sim):
-        log = []
-
-        def ticker(label, delay):
-            yield sim.timeout(delay)
-            log.append((sim.now, label))
-            yield sim.timeout(0)
-            log.append((sim.now, label + "-echo"))
-
-        for index in range(4):
-            sim.process(ticker(f"t{index}", 7.0))
-        sim.run()
-        return log
-
-    legacy, prewheel, wheel = all_kernels(workload)
-    assert legacy == prewheel == wheel
+    log = golden_trace("slot_batch_fifo")
     # All four timeouts share one slot and fire in creation order, then the
     # zero-delay echoes follow in the same order.
-    assert [label for _, label in wheel] == \
+    assert [label for _, label in log] == \
         ["t0", "t1", "t2", "t3", "t0-echo", "t1-echo", "t2-echo", "t3-echo"]
+
+
+def _trace_sub_resolution(sim):
+    order = []
+
+    def proc():
+        tiny = sim.timeout(1e-9, value="tiny")   # 2**40 + 1e-9 == 2**40
+        zero = sim.timeout(0.0, value="zero")
+        for event in (tiny, zero):
+            event.callbacks.append(
+                lambda ev: order.append(ev.value))
+        yield sim.timeout(1.0)
+
+    sim.process(proc())
+    sim.run()
+    return order
 
 
 def test_sub_resolution_delay_at_large_clock_keeps_sequence_order():
     """A positive delay below the clock's float resolution rounds to
     ``now``; it must still fire before later-scheduled zero-delay events
-    on every kernel (regression: the wheel parked it in a slot keyed at
-    the current time, which the deque fast path overtook)."""
-    def workload(sim):
-        order = []
-
-        def proc():
-            tiny = sim.timeout(1e-9, value="tiny")   # 2**40 + 1e-9 == 2**40
-            zero = sim.timeout(0.0, value="zero")
-            for event in (tiny, zero):
-                event.callbacks.append(
-                    lambda ev: order.append(ev.value))
-            yield sim.timeout(1.0)
-
-        sim.process(proc())
-        sim.run()
-        return order
-
-    runs = [workload(Simulator(start_time=float(2 ** 40), fast_path=fast,
-                               timer_wheel=wheel))
-            for fast, wheel in ((False, False), (True, False), (True, True))]
-    assert runs[0] == runs[1] == runs[2] == ["tiny", "zero"]
+    (regression: the wheel parked it in a slot keyed at the current time,
+    which the deque fast path overtook)."""
+    assert golden_trace("sub_resolution") == ["tiny", "zero"]
 
 
 def test_run_until_time_stops_between_wheel_slots():
@@ -236,3 +236,15 @@ def test_step_through_wheel_slots_matches_run():
 
     assert workload(Simulator(), step=True) == \
         workload(Simulator(), step=False)
+
+
+#: Trace workloads: ``name -> (workload(sim) -> trace, Simulator kwargs)``.
+#: ``tests/golden_fixtures.py`` records them.
+TRACE_WORKLOADS = {
+    "cancelled_on_wheel": (_trace_cancelled_on_wheel, {}),
+    "same_deadline_merge": (_trace_same_deadline_merge,
+                            {"wheel_horizon_us": 100.0}),
+    "slot_batch_fifo": (_trace_slot_batch_fifo, {}),
+    "sub_resolution": (_trace_sub_resolution,
+                       {"start_time": float(2 ** 40)}),
+}
