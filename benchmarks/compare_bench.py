@@ -10,8 +10,10 @@ markdown copy to ``--summary`` (pass ``$GITHUB_STEP_SUMMARY`` in CI).
 
 Tracked metrics are deliberately host-independent:
 
-* kernel fast/legacy *speedup ratios* -- both kernels run interleaved on
-  the same machine, so the ratio survives slow or noisy CI hosts;
+* kernel / reference-loop *rate ratios* -- the simulation kernel and the
+  frozen heapq + generator loop in ``benchmarks/reference_loop.py`` run
+  interleaved on the same machine, so the ratio survives slow or noisy CI
+  hosts;
 * fleet *coordination counts* (tasks per simulated second, batching task
   cut) -- fully deterministic.
 
@@ -20,7 +22,7 @@ recorded in the artifacts for the trajectory but not gated: a single-core
 runner cannot reproduce them.
 
 Baselines are committed per interpreter version (``baselines/py3.11/``,
-``baselines/py3.12/``, ...) because the speedup ratios drift across
+``baselines/py3.12/``, ...) because the kernel ratios drift across
 CPython releases; the matching subdirectory is picked automatically, with
 a fallback to the flat layout for repos that predate the split.
 
@@ -63,10 +65,10 @@ def resolve_baseline_dir(directory: Path,
 #: regress by falling below baseline * (1 - tolerance), ``lower`` metrics
 #: by rising above baseline * (1 + tolerance).
 TRACKED: tuple[tuple[str, str, str], ...] = (
-    ("BENCH_kernel.json", "events_per_sec.immediate.speedup", "higher"),
-    ("BENCH_kernel.json", "events_per_sec.mixed.speedup", "higher"),
-    ("BENCH_kernel.json", "events_per_sec.timer.speedup", "higher"),
-    ("BENCH_kernel.json", "request_roundtrips_per_sec.speedup", "higher"),
+    ("BENCH_kernel.json", "events_per_sec.immediate.ratio", "higher"),
+    ("BENCH_kernel.json", "events_per_sec.mixed.ratio", "higher"),
+    ("BENCH_kernel.json", "events_per_sec.timer.ratio", "higher"),
+    ("BENCH_kernel.json", "request_roundtrips_per_sec.ratio", "higher"),
     ("BENCH_fleet.json", "coordination.task_cut", "higher"),
     ("BENCH_fleet.json",
      "coordination.variants.batched.tasks_per_sim_second", "lower"),

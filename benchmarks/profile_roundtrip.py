@@ -10,11 +10,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/profile_roundtrip.py
     PYTHONPATH=src python benchmarks/profile_roundtrip.py --device ssd --ios 20000
-    PYTHONPATH=src python benchmarks/profile_roundtrip.py --legacy --sort cumtime
-
-``--legacy`` profiles the ``fast_path=False`` pre-refactor frames (the
-faithful baseline the roundtrip microbenchmark compares against), which is
-how you see exactly which frames the flattened path removed.
+    PYTHONPATH=src python benchmarks/profile_roundtrip.py --sort cumtime
 """
 
 from __future__ import annotations
@@ -62,15 +58,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sort", choices=("tottime", "cumtime", "ncalls"),
                         default="tottime",
                         help="pstats sort key (default: tottime)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="profile the fast_path=False pre-refactor frames "
-                             "instead of the flattened hot path")
     args = parser.parse_args(argv)
 
     from repro.sim import Simulator
     from repro.workload.fio import FioJob, run_job
 
-    sim = Simulator(fast_path=not args.legacy)
+    sim = Simulator()
     device = build_device(args.device, sim)
     job = FioJob(pattern=args.pattern, io_size=args.io_size,
                  queue_depth=args.queue_depth, io_count=args.ios)
@@ -81,10 +74,9 @@ def main(argv=None) -> int:
     profiler.disable()
 
     duration_s = result.duration_us / 1e6 if result.duration_us > 0 else 0.0
-    path = "legacy (fast_path=False)" if args.legacy else "flattened fast path"
     print(f"# {args.device}: {result.ios_completed} I/Os "
-          f"({args.pattern}, {args.io_size}B, qd={args.queue_depth}) "
-          f"on the {path}; simulated {duration_s:.3f}s")
+          f"({args.pattern}, {args.io_size}B, qd={args.queue_depth}); "
+          f"simulated {duration_s:.3f}s")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
     return 0

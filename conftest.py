@@ -1,4 +1,4 @@
-"""Root pytest configuration: a per-test wall-clock timeout guard.
+"""Root pytest configuration: wall-clock guards for the suite.
 
 A simulator bug that stalls the event loop (e.g. a zero-delay wakeup cycle)
 used to freeze the whole suite.  Per-test timeouts turn such hangs into
@@ -8,6 +8,10 @@ dependency-free fallback for environments without it, implementing the same
 ``timeout`` ini option and ``@pytest.mark.timeout(seconds)`` marker with a
 SIGALRM-based interrupt (POSIX main thread only -- exactly where this suite
 runs).
+
+A second, session-level guard keeps the unit suite fast: when the items
+under ``tests/`` together take longer than :data:`SUITE_BUDGET_SECONDS`,
+the session fails even if every test passed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ import pytest
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _HAVE_SIGALRM = hasattr(signal, "SIGALRM")
+
+#: Wall-clock budget for all ``tests/`` items together (setup, call and
+#: teardown).  The unit suite takes well under a minute; the bound leaves
+#: headroom for slow CI machines while catching a suite that has grown slow.
+SUITE_BUDGET_SECONDS = 240.0
 
 
 class SuiteTimeout(Exception):
@@ -36,6 +45,8 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    config.pluginmanager.register(SuiteBudget(SUITE_BUDGET_SECONDS),
+                                  "suite-budget")
     if not _HAVE_PYTEST_TIMEOUT:
         config.addinivalue_line(
             "markers",
@@ -80,3 +91,28 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class SuiteBudget:
+    """Plugin that sums the time of ``tests/`` items (setup, call and
+    teardown) and fails the session when it exceeds the budget."""
+
+    def __init__(self, budget_seconds: float):
+        self.budget_seconds = budget_seconds
+        self.seconds = 0.0
+
+    def pytest_runtest_logreport(self, report):
+        if report.nodeid.startswith("tests/"):
+            self.seconds += report.duration
+
+    def pytest_sessionfinish(self, session):
+        if self.seconds > self.budget_seconds and \
+                session.exitstatus == pytest.ExitCode.OK:
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+    def pytest_terminal_summary(self, terminalreporter):
+        if self.seconds > self.budget_seconds:
+            terminalreporter.write_sep(
+                "=", f"tests/ took {self.seconds:.1f}s, over the "
+                     f"{self.budget_seconds:.0f}s suite budget (conftest.py)",
+                red=True)

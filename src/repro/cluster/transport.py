@@ -30,6 +30,11 @@ Safety notes for the shared-memory path:
   only then advances the ``head`` counter; command/response words follow
   the same discipline (payload words first, sequence word last).  A reader
   polling the counter can therefore never observe a torn record.
+* **Whole-word counters.**  Control words and ring counters are read and
+  written as items of ``memoryview.cast("Q")``/``cast("d")`` views: one
+  aligned 8-byte copy each.  ``struct.pack_into`` zero-fills a field
+  before writing it, so a peer polling a word it rewrites could read a
+  transient 0 (and re-run a command, or drain an empty ring).
 * **Crash detection.**  The coordinator's wait loop checks worker
   liveness and an explicit error word while sleeping; a worker that dies
   mid-grant (or raises) surfaces as a clean ``RuntimeError`` naming the
@@ -249,11 +254,12 @@ class MessageRing:
     """Single-producer single-consumer ring of ``ReplicaMessage`` slots.
 
     ``head`` and ``tail`` are monotonically increasing *message counters*
-    (not byte offsets) stored as little-endian u64 words at the front of
-    the buffer; slot ``n`` lives at ``(n % slots)``.  The writer copies
-    every record byte **before** bumping ``head`` (publish-after-write),
-    so a reader polling ``head`` can never decode a torn record: a crash
-    mid-copy leaves ``head`` untouched and the partial slot invisible.
+    (not byte offsets) stored as native u64 words at the front of the
+    buffer (the segment never leaves the host); slot ``n`` lives at
+    ``(n % slots)``.  The writer copies every record byte **before**
+    bumping ``head`` (publish-after-write), so a reader polling ``head``
+    can never decode a torn record: a crash mid-copy leaves ``head``
+    untouched and the partial slot invisible.
 
     :meth:`push` accepts as many messages as currently fit and reports the
     count -- the caller spills the remainder to its side channel.  The
@@ -268,8 +274,9 @@ class MessageRing:
             raise ValueError("ring needs at least one slot")
         self._buf = buffer
         self._slots = slots
-        self._base = offset
         self._data = offset + self.HEADER
+        #: ``[head, tail]`` as whole 8-byte words (see the module notes).
+        self._counters = memoryview(buffer)[offset:self._data].cast("Q")
 
     @classmethod
     def size_for(cls, slots: int) -> int:
@@ -281,11 +288,11 @@ class MessageRing:
 
     @property
     def head(self) -> int:
-        return struct.unpack_from("<Q", self._buf, self._base)[0]
+        return self._counters[0]
 
     @property
     def tail(self) -> int:
-        return struct.unpack_from("<Q", self._buf, self._base + 8)[0]
+        return self._counters[1]
 
     def __len__(self) -> int:
         return self.head - self.tail
@@ -308,7 +315,7 @@ class MessageRing:
                 message.size, message.origin_index, message.origin_seq,
                 message.delivery_epoch, _KIND_CODES[message.kind])
         if accepted:
-            struct.pack_into("<Q", self._buf, self._base, head + accepted)
+            self._counters[0] = head + accepted
         return accepted
 
     def drain(self, count: int) -> list[ReplicaMessage]:
@@ -325,8 +332,12 @@ class MessageRing:
             out.append(decode_message(self._buf,
                                       self._data + slot * SLOT_SIZE))
         if count:
-            struct.pack_into("<Q", self._buf, self._base + 8, tail + count)
+            self._counters[1] = tail + count
         return out
+
+    def release(self) -> None:
+        """Drop the counter view so the underlying segment can close."""
+        self._counters.release()
 
 
 # ---------------------------------------------------------------------------
@@ -457,20 +468,20 @@ class ExecutorTransport(ShardTransport):
 # SharedMemoryTransport
 # ---------------------------------------------------------------------------
 
-# Control-block word offsets (all 8-byte aligned; one block per shard).
+# Control-block word indices (8-byte words; one block per shard).
 _CTRL_COMMAND_SEQ = 0    # u64: coordinator bumps to post a command
-_CTRL_ACK_SEQ = 8        # u64: worker sets == command_seq when done
-_CTRL_OPCODE = 16        # u64: _OP_*
-_CTRL_UNTIL = 24         # f64: barrier time (valid when _FLAG_UNTIL)
-_CTRL_FLAGS = 32         # u64: _FLAG_*
-_CTRL_IN_COUNT = 40      # u64: inbound batch size (ring + spill)
-_CTRL_IN_SPILL = 48      # u64: inbound messages sent via the pipe
-_CTRL_PEEK = 56          # f64: response peek (may be +inf)
-_CTRL_RAN = 64           # u64: response executed-epoch count
-_CTRL_OUT_COUNT = 72     # u64: response outbound size (ring + spill)
-_CTRL_OUT_SPILL = 80     # u64: outbound messages sent via the pipe
-_CTRL_STATE = 88         # u64: _STATE_*
-_CTRL_SIZE = 96
+_CTRL_ACK_SEQ = 1        # u64: worker sets == command_seq when done
+_CTRL_OPCODE = 2         # u64: _OP_*
+_CTRL_UNTIL = 3          # f64: barrier time (valid when _FLAG_UNTIL)
+_CTRL_FLAGS = 4          # u64: _FLAG_*
+_CTRL_IN_COUNT = 5       # u64: inbound batch size (ring + spill)
+_CTRL_IN_SPILL = 6       # u64: inbound messages sent via the pipe
+_CTRL_PEEK = 7           # f64: response peek (may be +inf)
+_CTRL_RAN = 8            # u64: response executed-epoch count
+_CTRL_OUT_COUNT = 9      # u64: response outbound size (ring + spill)
+_CTRL_OUT_SPILL = 10     # u64: outbound messages sent via the pipe
+_CTRL_STATE = 11         # u64: _STATE_*
+_CTRL_SIZE = 12 * 8
 
 _OP_ADVANCE = 1
 _OP_COLLECT = 2
@@ -489,20 +500,11 @@ _SLEEP_FLOOR_S = 1e-5
 _SLEEP_CEIL_S = 1e-3
 
 
-def _u64(buf, offset: int) -> int:
-    return struct.unpack_from("<Q", buf, offset)[0]
-
-
-def _put_u64(buf, offset: int, value: int) -> None:
-    struct.pack_into("<Q", buf, offset, value)
-
-
-def _f64(buf, offset: int) -> float:
-    return struct.unpack_from("<d", buf, offset)[0]
-
-
-def _put_f64(buf, offset: int, value: float) -> None:
-    struct.pack_into("<d", buf, offset, value)
+def _control_words(buf) -> tuple[memoryview, memoryview]:
+    """The control block at the front of ``buf`` as ``(u64, f64)`` word
+    views; index them with the ``_CTRL_*`` constants."""
+    block = memoryview(buf)[:_CTRL_SIZE]
+    return block.cast("Q"), block.cast("d")
 
 
 def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
@@ -511,6 +513,7 @@ def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
     """Entry point of one shared-memory shard worker process."""
     segment = shared_memory.SharedMemory(name=shm_name)
     buf = segment.buf
+    words, reals = _control_words(buf)
     inbound = MessageRing(buf, ring_slots, offset=_CTRL_SIZE)
     outbound = MessageRing(buf, ring_slots,
                            offset=_CTRL_SIZE + MessageRing.size_for(ring_slots))
@@ -520,58 +523,62 @@ def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
                                  ShardPlan.from_payload(plan_payload))
         except Exception:
             conn.send(("error", traceback.format_exc()))
-            _put_u64(buf, _CTRL_STATE, _STATE_ERROR)
+            words[_CTRL_STATE] = _STATE_ERROR
             return
-        _put_u64(buf, _CTRL_STATE, _STATE_READY)
+        words[_CTRL_STATE] = _STATE_READY
         last_seq = 0
         while True:
             # Spin-then-sleep on the command word.
             spins = 0
             delay = _SLEEP_FLOOR_S
-            while _u64(buf, _CTRL_COMMAND_SEQ) == last_seq:
+            while words[_CTRL_COMMAND_SEQ] == last_seq:
                 spins += 1
                 if spins > spin_budget:
                     time.sleep(delay)
                     delay = min(delay * 2, _SLEEP_CEIL_S)
-            seq = _u64(buf, _CTRL_COMMAND_SEQ)
-            opcode = _u64(buf, _CTRL_OPCODE)
+            seq = words[_CTRL_COMMAND_SEQ]
+            opcode = words[_CTRL_OPCODE]
             if opcode == _OP_STOP:
-                _put_u64(buf, _CTRL_ACK_SEQ, seq)
+                words[_CTRL_ACK_SEQ] = seq
                 return
             try:
                 if opcode == _OP_COLLECT:
                     conn.send(("collect", worker.collect()))
                 else:
-                    total = _u64(buf, _CTRL_IN_COUNT)
-                    spill = _u64(buf, _CTRL_IN_SPILL)
+                    total = words[_CTRL_IN_COUNT]
+                    spill = words[_CTRL_IN_SPILL]
                     batch = inbound.drain(total - spill)
                     if spill:
                         tag, spilled = conn.recv()
                         assert tag == "spill", tag
                         batch.extend(spilled)
-                    flags = _u64(buf, _CTRL_FLAGS)
-                    until = _f64(buf, _CTRL_UNTIL) if flags & _FLAG_UNTIL \
+                    flags = words[_CTRL_FLAGS]
+                    until = reals[_CTRL_UNTIL] if flags & _FLAG_UNTIL \
                         else None
                     out, peek, ran = worker.advance(
                         until, batch, bool(flags & _FLAG_SELF_DELIVER))
                     pushed = outbound.push(out)
                     if pushed < len(out):
                         conn.send(("spill", out[pushed:]))
-                    _put_f64(buf, _CTRL_PEEK, peek)
-                    _put_u64(buf, _CTRL_RAN, ran)
-                    _put_u64(buf, _CTRL_OUT_COUNT, len(out))
-                    _put_u64(buf, _CTRL_OUT_SPILL, len(out) - pushed)
+                    reals[_CTRL_PEEK] = peek
+                    words[_CTRL_RAN] = ran
+                    words[_CTRL_OUT_COUNT] = len(out)
+                    words[_CTRL_OUT_SPILL] = len(out) - pushed
             except Exception:
                 conn.send(("error", traceback.format_exc()))
-                _put_u64(buf, _CTRL_STATE, _STATE_ERROR)
-                _put_u64(buf, _CTRL_ACK_SEQ, seq)
+                words[_CTRL_STATE] = _STATE_ERROR
+                words[_CTRL_ACK_SEQ] = seq
                 return
             # Publish-after-write: the response words above land before
             # the ack the coordinator polls on.
-            _put_u64(buf, _CTRL_ACK_SEQ, seq)
+            words[_CTRL_ACK_SEQ] = seq
             last_seq = seq
     finally:
-        del inbound, outbound, buf
+        inbound.release()
+        outbound.release()
+        words.release()
+        reals.release()
+        del inbound, outbound, words, reals, buf
         segment.close()
 
 
@@ -583,6 +590,7 @@ class _ShmShard:
         size = _CTRL_SIZE + 2 * MessageRing.size_for(ring_slots)
         self.segment = shared_memory.SharedMemory(create=True, size=size)
         self.segment.buf[:_CTRL_SIZE] = bytes(_CTRL_SIZE)
+        self.words, self.reals = _control_words(self.segment.buf)
         self.shard_id = shard_id
         self.inbound = MessageRing(self.segment.buf, ring_slots,
                                    offset=_CTRL_SIZE)
@@ -600,15 +608,9 @@ class _ShmShard:
         self.seq = 0
         self.spin_budget = spin_budget
 
-    # -- low-level words --------------------------------------------------
-
-    @property
-    def buf(self):
-        return self.segment.buf
-
     def fail(self, doing: str) -> RuntimeError:
         """Turn a worker-side failure into a clean coordinator error."""
-        state = _u64(self.buf, _CTRL_STATE)
+        state = self.words[_CTRL_STATE]
         detail = ""
         if state == _STATE_ERROR:
             try:
@@ -628,13 +630,14 @@ class _ShmShard:
             f"{self.process.exitcode}); partial batches are never "
             "published, so no torn data was consumed")
 
-    def wait_word(self, offset: int, value: int, doing: str) -> None:
-        """Spin-then-sleep until ``buf[offset] == value``; raise cleanly
-        if the worker errored or died instead of answering."""
+    def wait_word(self, index: int, value: int, doing: str) -> None:
+        """Spin-then-sleep until control word ``index`` equals ``value``;
+        raise cleanly if the worker errored or died instead of answering."""
+        words = self.words
         spins = 0
         delay = _SLEEP_FLOOR_S
-        while _u64(self.buf, offset) != value:
-            if _u64(self.buf, _CTRL_STATE) == _STATE_ERROR:
+        while words[index] != value:
+            if words[_CTRL_STATE] == _STATE_ERROR:
                 raise self.fail(doing)
             spins += 1
             if spins > self.spin_budget:
@@ -653,7 +656,10 @@ class _ShmShard:
 
     def release(self) -> None:
         """Drop ring views and the segment mapping (idempotent)."""
-        self.inbound = self.outbound = None
+        for view in (self.inbound, self.outbound, self.words, self.reals):
+            if view is not None:
+                view.release()
+        self.inbound = self.outbound = self.words = self.reals = None
         try:
             self.conn.close()
         except OSError:
@@ -697,26 +703,26 @@ class SharedMemoryTransport(ShardTransport):
         flags = _FLAG_SELF_DELIVER if self_deliver else 0
         if until_us is not None:
             flags |= _FLAG_UNTIL
-            _put_f64(shard.buf, _CTRL_UNTIL, until_us)
-        _put_u64(shard.buf, _CTRL_FLAGS, flags)
-        _put_u64(shard.buf, _CTRL_OPCODE, _OP_ADVANCE)
+            shard.reals[_CTRL_UNTIL] = until_us
+        shard.words[_CTRL_FLAGS] = flags
+        shard.words[_CTRL_OPCODE] = _OP_ADVANCE
         pushed = shard.inbound.push(inbound)
-        _put_u64(shard.buf, _CTRL_IN_COUNT, len(inbound))
-        _put_u64(shard.buf, _CTRL_IN_SPILL, len(inbound) - pushed)
+        shard.words[_CTRL_IN_COUNT] = len(inbound)
+        shard.words[_CTRL_IN_SPILL] = len(inbound) - pushed
         if pushed < len(inbound):
             shard.conn.send(("spill", inbound[pushed:]))
         shard.seq += 1
         # Publish-after-write: every command word above is in place
         # before the sequence bump the worker polls on.
-        _put_u64(shard.buf, _CTRL_COMMAND_SEQ, shard.seq)
+        shard.words[_CTRL_COMMAND_SEQ] = shard.seq
 
     def wait(self, shard_id):
         shard = self._shards[shard_id]
         shard.wait_word(_CTRL_ACK_SEQ, shard.seq, "advancing")
-        peek = _f64(shard.buf, _CTRL_PEEK)
-        ran = _u64(shard.buf, _CTRL_RAN)
-        total = _u64(shard.buf, _CTRL_OUT_COUNT)
-        spill = _u64(shard.buf, _CTRL_OUT_SPILL)
+        peek = shard.reals[_CTRL_PEEK]
+        ran = shard.words[_CTRL_RAN]
+        total = shard.words[_CTRL_OUT_COUNT]
+        spill = shard.words[_CTRL_OUT_SPILL]
         outbound = shard.outbound.drain(total - spill)
         if spill:
             outbound.extend(shard.recv("spill"))
@@ -724,9 +730,9 @@ class SharedMemoryTransport(ShardTransport):
 
     def collect_all(self):
         for shard in self._shards:
-            _put_u64(shard.buf, _CTRL_OPCODE, _OP_COLLECT)
+            shard.words[_CTRL_OPCODE] = _OP_COLLECT
             shard.seq += 1
-            _put_u64(shard.buf, _CTRL_COMMAND_SEQ, shard.seq)
+            shard.words[_CTRL_COMMAND_SEQ] = shard.seq
         payloads = []
         for shard in self._shards:
             payload = shard.recv("collect")
@@ -742,9 +748,9 @@ class SharedMemoryTransport(ShardTransport):
         for shard in self._shards:
             try:
                 if shard.process.is_alive():
-                    _put_u64(shard.buf, _CTRL_OPCODE, _OP_STOP)
+                    shard.words[_CTRL_OPCODE] = _OP_STOP
                     shard.seq += 1
-                    _put_u64(shard.buf, _CTRL_COMMAND_SEQ, shard.seq)
+                    shard.words[_CTRL_COMMAND_SEQ] = shard.seq
             except (ValueError, OSError):
                 pass  # segment already gone
             shard.process.join(timeout=2.0)

@@ -33,25 +33,8 @@ class LoopbackDevice(BlockDevice):
         self.service_time_us = float(service_time_us)
         self._slots = Resource(sim, service_slots) if service_slots else None
 
-    def _serve(self, request: IORequest):
-        tracer = self.tracer
-        if self._slots is not None:
-            if tracer is not None:
-                tracer.enter(request, "queue")
-            yield self._slots.request()
-        try:
-            if tracer is not None:
-                tracer.enter(request, "service")
-            yield self.sim.timeout(self.service_time_us)
-        finally:
-            if self._slots is not None:
-                self._slots.release()
-        return request
-
     def _pipeline(self, request: IORequest):
-        # Flattened service pipeline (see BlockDevice._pipeline): one
-        # generator frame for the whole slot -> service -> finish chain,
-        # identical event sequence to _serve + the default pipeline.
+        # One generator frame for the whole slot -> service -> finish chain.
         slots = self._slots
         tracer = self.tracer
         if slots is not None:

@@ -20,7 +20,8 @@ A device must provide:
 
 :class:`repro.host.BlockDevice` implements the whole contract, so concrete
 models (the local SSD, the elastic SSD, the loopback device) only write
-``_serve``.  Third-party devices need not inherit from it -- anything that
+``_pipeline``, the generator that serves one request and ends in
+``self._finish(request)``.  Third-party devices need not inherit from it -- anything that
 quacks per this protocol works end to end, including through
 ``python -m repro.experiments run``.
 """

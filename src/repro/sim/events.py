@@ -7,9 +7,9 @@ simulator pops it the event becomes *processed* and all registered callbacks
 run.  A :class:`Process` wraps a Python generator: the generator yields
 events, and the process resumes each time the yielded event is processed.
 
-Object pooling (fast-path kernel)
----------------------------------
-With ``Simulator(fast_path=True)`` the kernel recycles kernel-created
+Object pooling
+--------------
+The kernel recycles kernel-created
 :class:`Timeout` and grant :class:`Event` objects whose only consumers were
 the processes that yielded them.  The discipline this imposes on user code:
 an event obtained from ``sim.timeout(...)`` or ``resource.request()`` must
@@ -19,7 +19,7 @@ common pattern -- is always safe, as is passing such events to
 ``AllOf``/``AnyOf`` (condition-held events are never recycled).
 
 :class:`Process` objects themselves are pooled too, but only the ones
-created through :func:`spawn_process` (the ``device.submit`` fast path):
+created through :func:`spawn_process` (the ``device.submit`` path):
 those are marked pool-eligible at birth and recycled once their completion
 has been consumed by the submitting worker.  Processes created with
 ``sim.process(...)`` are never recycled -- user code may hold them, join
@@ -115,10 +115,9 @@ class Event:
         self._ok = True
         self._value = value
         # Zero-delay success is the kernel's hottest operation (resource
-        # grants, token grants, relays); schedule it inline on the fast
-        # path.  The legacy kernel keeps the pre-refactor _schedule chain.
+        # grants, token grants, relays); schedule it inline.
         sim = self.sim
-        if delay == 0.0 and sim.fast_path:
+        if delay == 0.0:
             sim._sequence = seq = sim._sequence + 1
             self._seq = seq
             sim._immediate.append(self)
@@ -141,15 +140,6 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so the simulator does not re-raise it."""
         self._defused = True
-
-    # -- internal ---------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-        if not self._ok and not self._defused:
-            raise self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
@@ -202,32 +192,26 @@ class Process(Event):
         # One bound method reused for every wait this process ever registers
         # (a fresh ``self._resume`` would allocate per yield).
         self._resume_bound = self._resume
-        # Kick off the process at the current simulation time.  On the fast
-        # path the bootstrap is scheduled inline (pooled event + direct deque
-        # append) -- process creation is the first step of every device
-        # submission, so the ``succeed()`` bookkeeping is worth skipping.
-        # The scheduling order is identical to the generic path.
-        if sim.fast_path:
-            pool = sim._event_pool
-            if pool:
-                bootstrap = pool.pop()
-                bootstrap._value = None
-                bootstrap._triggered = True
-                bootstrap._processed = False
-                bootstrap._defused = False
-                # _ok is still True: only successful events are pooled.
-            else:
-                bootstrap = Event(sim)
-                bootstrap._pool_ok = True
-                bootstrap._triggered = True
-            bootstrap.callbacks.append(self._resume_bound)
-            sim._sequence = seq = sim._sequence + 1
-            bootstrap._seq = seq
-            sim._immediate.append(bootstrap)
+        # Kick off the process at the current simulation time.  The
+        # bootstrap is scheduled inline (pooled event + direct deque append)
+        # -- process creation is the first step of every device submission,
+        # so the ``succeed()`` bookkeeping is worth skipping.
+        pool = sim._event_pool
+        if pool:
+            bootstrap = pool.pop()
+            bootstrap._value = None
+            bootstrap._triggered = True
+            bootstrap._processed = False
+            bootstrap._defused = False
+            # _ok is still True: only successful events are pooled.
         else:
-            bootstrap = sim._fresh_event()
-            bootstrap.callbacks.append(self._resume_bound)
-            bootstrap.succeed()
+            bootstrap = Event(sim)
+            bootstrap._pool_ok = True
+            bootstrap._triggered = True
+        bootstrap.callbacks.append(self._resume_bound)
+        sim._sequence = seq = sim._sequence + 1
+        bootstrap._seq = seq
+        sim._immediate.append(bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -260,19 +244,9 @@ class Process(Event):
         return callback
 
     def _resume(self, event: Event) -> None:
-        # The kernel's hottest callback: on the fast path this is an inline
-        # of _step(send/throw) minus two frames.  Keep the inline in sync --
-        # _step stays the reference implementation (and the legacy kernel's
-        # frame-for-frame pre-refactor resumption path).
+        # The kernel's hottest callback: an inline of _step(send/throw) minus
+        # two frames.  Keep the inline in sync with _step.
         sim = self.sim
-        if not sim.fast_path:
-            self._waiting_on = None
-            if event.ok:
-                self._step(send=event.value)
-            else:
-                event.defuse()
-                self._step(throw=event.value)
-            return
         self._waiting_on = None
         if self._triggered:
             return
@@ -348,43 +322,40 @@ class Process(Event):
 def spawn_process(sim: "Simulator", generator: Generator[Event, Any, Any]) -> Process:
     """Pooled :class:`Process` factory for the submission hot path.
 
-    On the fast path the kernel recycles completed submission processes whose
-    only waiters were inline ``yield``\\ s (the same discipline as pooled
-    grant/timeout events -- see the module docstring); this factory reuses
-    them, skipping the per-submission object allocation.  Off the fast path
-    it is exactly ``Process(sim, generator)``.
+    The kernel recycles completed submission processes whose only waiters
+    were inline ``yield``\\ s (the same discipline as pooled grant/timeout
+    events -- see the module docstring); this factory reuses them, skipping
+    the per-submission object allocation.
     """
-    if sim.fast_path:
-        pool = sim._process_pool
-        if pool:
-            process = pool.pop()
-            process._value = None
-            process._triggered = False
-            process._processed = False
-            process._defused = False
-            process.generator = generator
-            # _ok stays True, _waiting_on is None, _pool_ok stays True, and
-            # the callback list was cleared when the kernel pooled it.
-            epool = sim._event_pool
-            if epool:
-                bootstrap = epool.pop()
-                bootstrap._value = None
-                bootstrap._triggered = True
-                bootstrap._processed = False
-                bootstrap._defused = False
-            else:
-                bootstrap = Event(sim)
-                bootstrap._pool_ok = True
-                bootstrap._triggered = True
-            bootstrap.callbacks.append(process._resume_bound)
-            sim._sequence = seq = sim._sequence + 1
-            bootstrap._seq = seq
-            sim._immediate.append(bootstrap)
-            return process
-        process = Process(sim, generator)
-        process._pool_ok = True
+    pool = sim._process_pool
+    if pool:
+        process = pool.pop()
+        process._value = None
+        process._triggered = False
+        process._processed = False
+        process._defused = False
+        process.generator = generator
+        # _ok stays True, _waiting_on is None, _pool_ok stays True, and the
+        # callback list was cleared when the kernel pooled it.
+        epool = sim._event_pool
+        if epool:
+            bootstrap = epool.pop()
+            bootstrap._value = None
+            bootstrap._triggered = True
+            bootstrap._processed = False
+            bootstrap._defused = False
+        else:
+            bootstrap = Event(sim)
+            bootstrap._pool_ok = True
+            bootstrap._triggered = True
+        bootstrap.callbacks.append(process._resume_bound)
+        sim._sequence = seq = sim._sequence + 1
+        bootstrap._seq = seq
+        sim._immediate.append(bootstrap)
         return process
-    return Process(sim, generator)
+    process = Process(sim, generator)
+    process._pool_ok = True
+    return process
 
 
 class ConditionValue(dict):

@@ -52,18 +52,9 @@ class Resource:
         inspect it after resuming -- see the pooling note in
         :mod:`repro.sim.events`.
         """
+        # Pooled event + inline zero-delay grant (this pair of operations
+        # dominates device hot loops).
         sim = self.sim
-        if not sim.fast_path:
-            # Pre-refactor path, frame for frame (the microbenchmark baseline).
-            event = Event(sim)
-            if self._users < self.capacity:
-                self._users += 1
-                event.succeed(self)
-            else:
-                self._waiters.append(event)
-            return event
-        # Fast path: pooled event + inline zero-delay grant (this pair of
-        # operations dominates device hot loops).
         pool = sim._event_pool
         if pool:
             event = pool.pop()
@@ -94,15 +85,12 @@ class Resource:
             # Hand the slot directly to the next waiter; _users stays the same.
             waiter = self._waiters.popleft()
             sim = self.sim
-            if sim.fast_path:
-                # Inline zero-delay succeed (waiters are always untriggered).
-                waiter._triggered = True
-                waiter._value = self
-                sim._sequence = seq = sim._sequence + 1
-                waiter._seq = seq
-                sim._immediate.append(waiter)
-            else:
-                waiter.succeed(self)
+            # Inline zero-delay succeed (waiters are always untriggered).
+            waiter._triggered = True
+            waiter._value = self
+            sim._sequence = seq = sim._sequence + 1
+            waiter._seq = seq
+            sim._immediate.append(waiter)
         else:
             self._users -= 1
 
@@ -185,8 +173,7 @@ class TokenBucket:
     inline with a single refill computation -- no wait-queue traffic and no
     wakeup scheduling -- and :meth:`consume_sliced` collapses a fully-covered
     multi-slice transfer into one grant event.  Both produce the same grant
-    times as the generic path; the per-grant event scheduling is unchanged,
-    so fast/legacy/wheel kernels stay bit-identical.
+    times and the same per-grant event scheduling as the generic path.
     """
 
     __slots__ = ("sim", "rate", "capacity", "_tokens", "_last_update",

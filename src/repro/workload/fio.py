@@ -204,10 +204,9 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
                 or (deadline is not None and sim.now >= deadline))
 
     def worker():
-        """Flattened fast-path worker: hoisted per-I/O constants, bound
-        methods, one latency computation, no unconditional think-time hook
-        call.  Issues the same requests in the same order as
-        :func:`_worker_legacy`."""
+        """Closed-loop worker: hoisted per-I/O constants, bound methods,
+        one latency computation, and no think-time hook call for patterns
+        that never think."""
         pattern_next = pattern.next
         submit = device.submit
         timeout = sim.timeout
@@ -248,54 +247,7 @@ def run_job(sim: "Simulator", device: "Device", job: FioJob,
                 yield timeout(think_time)
         result.finished_us = sim.now
 
-    def _worker_legacy():
-        """Pre-refactor worker loop, frame for frame (the ``fast_path=False``
-        baseline of the roundtrip microbenchmark): per-iteration stop-field
-        checks, the unconditional think-time hook, double-dispatch
-        ``pattern.next()``, and per-record ``request.latency`` property
-        calls.  Behaviour is identical to :func:`worker`."""
-        while not _should_stop_legacy():
-            pause = pattern.next_think_time_us()
-            if pause > 0:
-                yield sim.timeout(pause)
-                if _should_stop_legacy():
-                    break
-            state.issued += 1
-            kind, offset = AccessPattern.next(pattern)
-            request = yield device.submit(
-                IORequest(kind, offset, job.io_size, tag=job.name))
-            if on_complete is not None:
-                on_complete(request, sim.now)
-            if state.ramp_remaining > 0:
-                state.ramp_remaining -= 1
-            else:
-                result.ios_completed += 1
-                result.latency.record(request.latency)
-                if kind is IOKind.READ:
-                    result.bytes_read += request.size
-                    result.read_latency.record(request.latency)
-                else:
-                    result.bytes_written += request.size
-                    result.write_latency.record(request.latency)
-                result.timeline.record(sim.now, request.size)
-            if job.think_time_us > 0:
-                yield sim.timeout(job.think_time_us)
-        result.finished_us = sim.now
-
-    def _should_stop_legacy() -> bool:
-        if state.stop:
-            return True
-        if job.io_count is not None and state.issued >= job.io_count:
-            return True
-        if job.total_bytes is not None and \
-                (state.issued + 1) * job.io_size > job.total_bytes:
-            return True
-        if deadline is not None and sim.now >= deadline:
-            return True
-        return False
-
-    make_worker = worker if sim.fast_path else _worker_legacy
-    workers = [sim.process(make_worker()) for _ in range(job.queue_depth)]
+    workers = [sim.process(worker()) for _ in range(job.queue_depth)]
 
     if job.runtime_us is not None:
         def watchdog():

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 from typing import Any, Callable
 
@@ -202,8 +201,7 @@ def device_cells() -> dict[str, Callable[[], dict]]:
 
 def kernel_trace_workloads() -> dict[str, tuple[Callable, dict]]:
     """``name -> (workload(sim) -> trace, Simulator kwargs)`` from the
-    kernel test modules."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    kernel test modules (importable: they sit next to this file)."""
     import test_sim_corners
     import test_sim_wheel
     workloads = {}

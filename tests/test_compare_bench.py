@@ -7,18 +7,18 @@ import pytest
 from benchmarks import compare_bench
 
 
-def write_artifacts(directory, kernel_speedups, batched_tasks=40.0,
+def write_artifacts(directory, kernel_ratios, batched_tasks=40.0,
                     task_cut=11.0, macro_errs=(0.01, 0.03, 0.04),
                     macro_speedup=50.0, shm_speedup_2=1.5,
                     shm_efficiency_4=0.8, scaling_informational=False):
-    immediate, mixed, timer, roundtrip = kernel_speedups
+    immediate, mixed, timer, roundtrip = kernel_ratios
     (directory / "BENCH_kernel.json").write_text(json.dumps({
         "events_per_sec": {
-            "immediate": {"speedup": immediate},
-            "mixed": {"speedup": mixed},
-            "timer": {"speedup": timer},
+            "immediate": {"ratio": immediate},
+            "mixed": {"ratio": mixed},
+            "timer": {"ratio": timer},
         },
-        "request_roundtrips_per_sec": {"speedup": roundtrip},
+        "request_roundtrips_per_sec": {"ratio": roundtrip},
     }))
     (directory / "BENCH_fleet.json").write_text(json.dumps({
         "coordination": {
@@ -67,7 +67,7 @@ def test_identical_artifacts_pass(dirs):
 def test_within_tolerance_passes_and_improvement_passes(dirs):
     baseline, current = dirs
     write_artifacts(baseline, (3.0, 2.6, 2.7, 1.4))
-    # 5% slower speedups, slightly fewer tasks: all inside the 10% band.
+    # 5% lower ratios, slightly fewer tasks: all inside the 10% band.
     write_artifacts(current, (2.85, 2.47, 2.57, 1.33),
                     batched_tasks=43.0, task_cut=10.5)
     assert compare_bench.main(["--baseline-dir", str(baseline),
@@ -234,14 +234,20 @@ def test_committed_baselines_cover_every_tracked_metric(version):
 
 
 def test_tracked_kernel_baseline_holds_the_paper_trajectory():
-    """The committed kernel baseline must record the >=2.5x mixed/timer
-    speedups this PR claims; regressing it in a later PR trips the gate."""
+    """The committed py3.11 kernel baseline must sit above the in-test
+    floors of the kernel benchmark by the margin the floors were sized
+    with, so a baseline re-recorded on a regressed kernel cannot slip
+    under the gate unnoticed."""
+    from benchmarks.test_bench_kernel import FLOORS, FLOOR_FRACTIONS
     payload = compare_bench.load_artifact(
         compare_bench.resolve_baseline_dir(compare_bench.BASELINE_DIR,
                                            "3.11"),
         "BENCH_kernel.json")
     assert payload is not None
-    assert compare_bench.lookup(
-        payload, "events_per_sec.mixed.speedup") >= 2.5
-    assert compare_bench.lookup(
-        payload, "events_per_sec.timer.speedup") >= 2.5
+    for name, floor in FLOORS.items():
+        metric = ("request_roundtrips_per_sec.ratio" if name == "roundtrip"
+                  else f"events_per_sec.{name}.ratio")
+        baseline = compare_bench.lookup(payload, metric)
+        assert baseline is not None, metric
+        assert floor == pytest.approx(baseline * FLOOR_FRACTIONS[name],
+                                      abs=0.001), name

@@ -13,8 +13,11 @@ Three layers of coverage:
   groups -- must produce bit-identical metrics payloads.
 """
 
+import multiprocessing
 import os
 import signal
+import time
+from multiprocessing import shared_memory
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +213,59 @@ def test_ring_plus_spill_preserves_send_order(batch_sizes, slots):
         spill = batch[pushed:]
         received = ring.drain(len(batch) - len(spill)) + spill
         assert received == batch
+
+
+def _rewrite_ring_counters(shm_name: str, slots: int) -> None:
+    """Child process: push and drain one message at a time until the last
+    byte of the segment turns non-zero, so ``head`` and ``tail`` are
+    rewritten (never to 0) as fast as the ring allows."""
+    segment = shared_memory.SharedMemory(name=shm_name)
+    ring = MessageRing(segment.buf, slots)
+    stop = MessageRing.size_for(slots)
+    batch = [message(1)]
+    try:
+        while not segment.buf[stop]:
+            ring.push(batch)
+            ring.drain(1)
+    finally:
+        del ring  # frees its view of the segment before close()
+        segment.close()
+
+
+def test_ring_counters_are_never_read_torn_across_processes():
+    """A reader polling a counter the other process keeps rewriting must
+    only ever see whole values.  ``struct.pack_into`` zero-fills a field
+    before writing it, so a poller could read a transient 0 -- the shard
+    worker then re-ran a command and the coordinator failed with "ring
+    drain of N messages but only 0 published"."""
+    slots = 4
+    segment = shared_memory.SharedMemory(
+        create=True, size=MessageRing.size_for(slots) + 8)
+    segment.buf[:] = bytes(segment.size)
+    ring = MessageRing(segment.buf, slots)
+    ring.push([message(0)])
+    ring.drain(1)  # head == tail == 1 before the writer starts
+    writer = multiprocessing.Process(
+        target=_rewrite_ring_counters, args=(segment.name, slots))
+    writer.start()
+    torn = reads = 0
+    try:
+        deadline = time.perf_counter() + 1.0
+        while time.perf_counter() < deadline:
+            for _ in range(1000):
+                if ring.head == 0 or ring.tail == 0:
+                    torn += 1
+            reads += 1000
+    finally:
+        segment.buf[MessageRing.size_for(slots)] = 1
+        writer.join(timeout=10)
+        if writer.is_alive():
+            writer.terminate()
+        del ring  # frees its view of the segment before close()
+        segment.close()
+        segment.unlink()
+    assert writer.exitcode == 0
+    assert torn == 0, f"{torn} torn counter reads out of {reads}"
 
 
 # ---------------------------------------------------------------------------
