@@ -34,12 +34,12 @@ to the batching win independent of host speed.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from repro.cluster import FleetCoordinator, FleetRunConfig, FleetTopology
 from repro.cluster.coordinator import DEFAULT_RUN_AHEAD
+from repro.cluster.transport import usable_cpus
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.sweep import quick_cells
 
@@ -85,8 +85,8 @@ def _coordination_section() -> dict:
     variants = {}
     payloads = {}
     for label, run_ahead in (("per-epoch", 1), ("batched", DEFAULT_RUN_AHEAD)):
-        coordinator = FleetCoordinator(shards=2, processes=False,
-                                       run_ahead=run_ahead)
+        coordinator = FleetCoordinator(config=FleetRunConfig(
+            shards=2, transport="local", run_ahead=run_ahead))
         payload = coordinator.run(topology)
         runtime = payload["runtime"]
         assert runtime["batched"], \
@@ -143,7 +143,7 @@ def test_fleet_shard_scaling_and_artifact():
             f"shards={shards} over {transport} diverged from serial"
 
     serial_wall = runs[(1, "local")][1]
-    cpu_count = os.cpu_count() or 1
+    cpu_count = usable_cpus()
     payload = {
         "benchmark": "fleet",
         "topology": {

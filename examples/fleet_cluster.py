@@ -123,54 +123,58 @@ the responses.  Three implementations ship (``repro.cluster.transport``):
 
 ``local`` (:class:`~repro.cluster.InProcessTransport`)
     Every shard as a plain in-process object.  The serial reference path;
-    what ``shards=1`` or ``processes=False`` resolve to.
+    what ``auto`` resolves to for one shard.
 
 ``executor`` (:class:`~repro.cluster.ExecutorTransport`)
     The faithful multi-process baseline: one persistent single-worker
     ``ProcessPoolExecutor`` per shard, one pickled task round-trip per
-    grant.  Default process transport on 1-core hosts, where there is no
-    parallelism to lose.
+    grant.  What ``auto`` picks when only one CPU is usable (counted from
+    the process's affinity mask, so ``taskset -c 0`` counts as one): pinned
+    to one core it beats ``shm``, whose spinning waiters compete with the
+    shard they wait on.
 
 ``shm`` (:class:`~repro.cluster.SharedMemoryTransport`)
     ``multiprocessing.shared_memory`` rings per coordinator<->shard pair
     plus a lock-free barrier word per shard: workers spin-then-sleep on
-    their command word (``spin_budget`` hot spins, then escalating
+    their command word (a fixed budget of hot spins, then escalating
     sleeps), messages travel as fixed 64-byte struct-encoded slots, and
     batches that outgrow the ring spill to a pipe side channel --
-    correctness never depends on buffer size.  Default process transport
-    on multi-core hosts.
+    correctness never depends on buffer size.  What ``auto`` picks for
+    several shards when more than one CPU is usable.
 
-``transport="auto"`` (the default) picks between them by host shape;
-every choice is bit-identical, so the knob only moves wall clock.
-``BENCH_fleet.json`` records each transport's scaling per shard count.
+``transport="auto"`` (the default) picks between them by shard count and
+usable CPUs; every choice is bit-identical, so the knob only moves wall
+clock.  ``BENCH_fleet.json`` records each transport's scaling per shard
+count.
 
-FleetRunConfig: every execution knob in one place
--------------------------------------------------
-:class:`~repro.cluster.FleetRunConfig` collapses the scattered execution
-knobs into one dataclass accepted uniformly by ``FleetCoordinator``,
-``run_fleet``, ``SweepRunner(fleet_config=...)``, the ``fleet`` / ``run``
-/ ``serve`` verbs, and config documents (as a ``run:`` block)::
+FleetRunConfig: the three execution knobs
+-----------------------------------------
+:class:`~repro.cluster.FleetRunConfig` is the one way to say how a fleet
+runs.  It has three fields: ``shards`` (default 1), ``run_ahead``
+(default 16) and ``transport`` (``auto | local | executor | shm``,
+default ``auto``).  It reaches every entry point under the same names::
 
-    from repro.cluster import FleetRunConfig, run_fleet
+    from repro.cluster import FleetCoordinator, FleetRunConfig, run_fleet
 
     config = FleetRunConfig(shards=4, transport="shm", run_ahead=32)
-    payload = run_fleet(topology, config)           # or config.merged(...)
+    payload = run_fleet(topology, config)
+    payload = FleetCoordinator(config=config).run(topology)   # same thing
+    SweepRunner(fleet_config=config)                # every fleet cell
+    ExperimentServer(..., fleet_config=config)      # every served job
 
-Fields: ``shards``, ``run_ahead``, ``epoch_us``, ``transport`` (one of
-``auto | local | executor | shm``), ``spin_budget``, ``processes``
-(deprecated tri-state alias for ``transport``), ``max_epochs``.  None of
-them may change simulation results -- bit-identity across every
-combination is gated by the determinism tests; only ``epoch_us`` is
-physics (it rescales the synchronization grid) and therefore the only
-field that enters the sweep cache key.
+in documents as a ``run:`` block, and on the ``run`` / ``fleet`` /
+``serve`` verbs as ``--shards`` / ``--run-ahead`` / ``--transport``.
+None of them may change simulation results -- bit-identity across every
+combination is gated by the determinism tests -- so none enters the
+sweep cache key.  The synchronization window ``epoch_us`` is physics, not
+an execution knob: it lives on the topology (``fleet(..., epoch_us=...)``,
+``fleet.epoch_us`` in documents, ``fleet --epoch-us`` on the CLI) and is
+part of the cache key.
 
-The pre-transport spellings -- ``FleetCoordinator(shards=...,
-processes=..., run_ahead=...)``, ``SweepRunner(fleet_shards=...)``,
-``CellSpec.fleet_shards``, and the bare ``--shards`` / ``--run-ahead``
-CLI flags -- survive as thin deprecated aliases that merge into a
-``FleetRunConfig``.  They will be removed two releases after the
-transport layer landed (see ROADMAP "Shard transport"); new code should
-pass a ``FleetRunConfig`` (or a document ``run:`` block).
+When a runner-level config (CLI flags, ``SweepRunner(fleet_config=...)``,
+``serve`` flags) meets a document's ``run:`` block, every field the
+runner sets away from its default wins, field by field; the rest come
+from the document.
 
 Run-ahead windows and coupling components
 -----------------------------------------
@@ -221,17 +225,17 @@ The fault-scenario family exercises the schedule machinery end to end::
 ``--shards 1`` *is* the serial path; any ``--shards N``, ``--transport``
 and ``--run-ahead`` combination produces the same fleet metrics (only the
 ``runtime`` section -- wall clock, events/sec, coordination, partition --
-differs).  When a scenario document carries its own ``run:`` block,
-``--transport`` / ``--spin-budget`` override it, while the deprecated
-``--shards`` / ``--run-ahead`` / ``--epoch-us`` aliases *error* on a
-contradiction (path-addressed, exit 2) rather than silently winning --
-edit the document or drop the flag.  Deterministic fleet metrics cache
-under ``$REPRO_SWEEP_CACHE`` (default ``.sweep-cache``) exactly like
-``run`` sweeps: every execution knob except ``epoch_us`` (the one field
-that changes physics) is excluded from the cache key, ``--force``
-re-runs, ``--no-cache`` disables.  ``run <scenario> --shards N`` nests
-the same sharding inside the sweep pool for scenarios whose cells carry
-fleets.
+differs).  When a scenario document carries its own ``run:`` block, each
+of those flags set away from its default overrides the matching field;
+``run``, ``fleet`` and ``serve`` apply the same rule.  Deterministic
+fleet metrics cache under ``$REPRO_SWEEP_CACHE`` (default
+``.sweep-cache``) exactly like ``run`` sweeps: the execution flags are
+excluded from the cache key, while ``--epoch-us``, ``--faults`` and
+``--macro`` change physics and enter it; ``--force`` re-runs,
+``--no-cache`` disables.  ``run <scenario> --shards N`` nests the same
+sharding inside the sweep pool for scenarios whose cells carry fleets
+(``run --serial`` only keeps the *cells* in-process; the shard transport
+still follows ``--transport``).
 
 Config documents (no Python required)
 -------------------------------------
@@ -257,6 +261,9 @@ so the empty block is the default config::
       shards: 4
       transport: shm      # auto | local | executor | shm
       run_ahead: 32
+
+Any other key is a path-addressed error; ``run.epoch_us`` names
+``fleet.epoch_us`` as the place to set the window.
 
 (YAML needs the optional ``config`` extra, ``pip install repro[config]``;
 JSON documents work without it.)

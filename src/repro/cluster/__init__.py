@@ -13,7 +13,8 @@ Layer 5 of the stack (kernel -> devices -> workloads -> sweeps -> cluster):
 * :mod:`repro.cluster.transport` -- how grants and message batches move
   between coordinator and shards (:class:`ShardTransport`): in-process
   calls, a dedicated executor process per shard, or shared-memory rings;
-  all execution knobs collapse into :class:`FleetRunConfig`.
+  the execution knobs (shards, run-ahead, transport) live on
+  :class:`FleetRunConfig`.
 * :mod:`repro.cluster.metrics` -- per-tenant / per-group / fleet-wide
   metric merges from the per-shard payloads.
 * :mod:`repro.cluster.macro` -- calibrated mean-field aggregates for

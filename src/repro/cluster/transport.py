@@ -11,18 +11,16 @@ implementations ship:
   :class:`ShardWorker`.  The serial reference path and the test default.
 * :class:`ExecutorTransport` -- the faithful multi-process baseline: one
   persistent single-worker ``ProcessPoolExecutor`` per shard, pickled
-  task-per-grant round-trips.  Default process transport on 1-core hosts.
+  task-per-grant round-trips.  What ``auto`` picks when one CPU is usable.
 * :class:`SharedMemoryTransport` -- ``multiprocessing.shared_memory``
   ring buffers per coordinator<->shard pair plus a lock-free barrier word
   per shard.  Workers spin-then-sleep on their command word; messages
   travel as fixed 64-byte struct-encoded slots; batches that outgrow the
   ring spill to a pipe side channel, so **correctness never depends on
-  buffer size**.  Default process transport on multi-core hosts.
+  buffer size**.  What ``auto`` picks when more than one CPU is usable.
 
-Every knob that used to be scattered across ``FleetCoordinator`` kwargs,
-``SweepRunner(fleet_shards=...)``, and CLI flags collapses into one
-:class:`FleetRunConfig` dataclass (the old kwargs survive as thin
-deprecated aliases -- see the class docstring for the removal horizon).
+The three execution knobs -- shard count, run-ahead window, transport --
+live on one :class:`FleetRunConfig` dataclass, the only way to set them.
 
 Safety notes for the shared-memory path:
 
@@ -48,7 +46,7 @@ import struct
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from multiprocessing import Pipe, Process, shared_memory
 from typing import Any, Optional, Sequence
 
@@ -77,6 +75,7 @@ __all__ = [
     "DEFAULT_RING_SLOTS",
     "MAX_EPOCHS",
     "TRANSPORTS",
+    "usable_cpus",
 ]
 
 #: Safety bound on executed (non-skipped) epochs per run.
@@ -97,9 +96,17 @@ DEFAULT_SPIN_BUDGET = 2_000
 DEFAULT_RING_SLOTS = 1_024
 
 #: Accepted ``FleetRunConfig.transport`` values.  ``auto`` resolves to
-#: ``local`` for in-process runs, else ``shm`` on multi-core hosts and
-#: ``executor`` on 1-core hosts.
+#: ``local`` for one shard, else ``shm`` when more than one CPU is usable
+#: and ``executor`` otherwise.
 TRANSPORTS = ("auto", "local", "executor", "shm")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    exposes one (``taskset -c 0`` counts as 1), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +123,8 @@ class FleetRunConfig:
     None of these fields may change simulation *results*: bit-identity of
     the metrics payload across every combination is gated by the
     determinism tests.  They only trade coordination cost for parallelism.
-
-    The pre-PR-10 spellings -- ``FleetCoordinator(shards=..., processes=...,
-    run_ahead=...)``, ``SweepRunner(fleet_shards=...)``, and
-    ``CellSpec.fleet_shards`` -- remain as thin deprecated aliases that
-    merge into this dataclass.  They will be removed two releases after
-    the transport layer lands; new code should pass a ``FleetRunConfig``.
+    The synchronization window is physics, not an execution knob: it lives
+    on the topology (``FleetTopology.epoch_us``).
     """
 
     #: Number of shard simulators (clamped to the device count).
@@ -129,61 +132,35 @@ class FleetRunConfig:
     #: Epochs granted per coordinator task to self-contained shards.
     #: ``run_ahead=1`` restores one-task-per-busy-epoch coordination.
     run_ahead: int = DEFAULT_RUN_AHEAD
-    #: Override the topology's conservative synchronization window (``None``
-    #: keeps the topology's own ``epoch_us``).
-    epoch_us: Optional[float] = None
-    #: One of :data:`TRANSPORTS`.  ``auto`` picks ``local`` for in-process
-    #: runs, else ``shm``/``executor`` by core count.
+    #: One of :data:`TRANSPORTS`.  ``auto`` picks ``local`` for one shard,
+    #: else ``shm``/``executor`` by usable core count.
     transport: str = "auto"
-    #: Hot-spin iterations before shared-memory waiters sleep.
-    spin_budget: int = DEFAULT_SPIN_BUDGET
-    #: Deprecated alias for ``transport``: ``False`` forces ``local``,
-    #: ``True`` forces a process transport.  ``None`` (default) means
-    #: "processes when ``shards > 1``".
-    processes: Optional[bool] = None
-    #: Safety bound on executed (non-skipped) epochs per run.
-    max_epochs: int = MAX_EPOCHS
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.run_ahead < 1:
             raise ValueError("run_ahead must be >= 1")
-        if self.epoch_us is not None and not self.epoch_us > 0:
-            raise ValueError("epoch_us must be positive")
         if self.transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {self.transport!r} "
                 f"(choose from {', '.join(TRANSPORTS)})")
-        if self.spin_budget < 0:
-            raise ValueError("spin_budget must be >= 0")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
 
     def merged(self, **overrides: Any) -> "FleetRunConfig":
-        """A copy with every non-``None`` override applied.
-
-        This is the deprecated-alias funnel: ``FleetCoordinator`` kwargs
-        and CLI flags land here, so an explicit kwarg wins over the config
-        it rides along with.
-        """
+        """A copy with every non-``None`` override applied, field by
+        field (how runner-level settings land on a document's ``run:``
+        block)."""
         changes = {key: value for key, value in overrides.items()
                    if value is not None}
-        if not changes:
-            return self
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        return FleetRunConfig(**current)
+        return replace(self, **changes) if changes else self
 
     def resolve_transport(self) -> str:
         """The concrete transport this config runs on *this* host."""
         if self.transport != "auto":
             return self.transport
-        processes = (self.shards > 1) if self.processes is None \
-            else self.processes
-        if not processes:
+        if self.shards == 1:
             return "local"
-        return "shm" if (os.cpu_count() or 1) > 1 else "executor"
+        return "shm" if usable_cpus() > 1 else "executor"
 
     # -- pairs form: hashable non-default fields, used by CellSpec --------
 
@@ -766,9 +743,7 @@ class SharedMemoryTransport(ShardTransport):
 # ---------------------------------------------------------------------------
 
 def create_transport(kind: str, topology: FleetTopology,
-                     plans: Sequence[ShardPlan],
-                     spin_budget: int = DEFAULT_SPIN_BUDGET,
-                     ring_slots: int = DEFAULT_RING_SLOTS) -> ShardTransport:
+                     plans: Sequence[ShardPlan]) -> ShardTransport:
     """Build a concrete transport; ``kind`` must already be resolved
     (``local`` / ``executor`` / ``shm`` -- see
     :meth:`FleetRunConfig.resolve_transport`)."""
@@ -777,9 +752,7 @@ def create_transport(kind: str, topology: FleetTopology,
     if kind == "executor":
         return ExecutorTransport(topology, plans)
     if kind == "shm":
-        return SharedMemoryTransport(topology, plans,
-                                     spin_budget=spin_budget,
-                                     ring_slots=ring_slots)
+        return SharedMemoryTransport(topology, plans)
     raise ValueError(f"unknown transport {kind!r} "
                      f"(choose from local, executor, shm)")
 

@@ -460,8 +460,7 @@ def topology_from_document(document: Any, *, path: str = "fleet"):
 # Run-config documents (the ``run:`` block)
 # ---------------------------------------------------------------------------
 
-_RUN_CONFIG_KEYS = ("shards", "run_ahead", "epoch_us", "transport",
-                    "spin_budget", "processes", "max_epochs")
+_RUN_CONFIG_KEYS = ("shards", "run_ahead", "transport")
 
 
 def run_config_to_document(config) -> dict:
@@ -476,28 +475,20 @@ def run_config_from_document(document: Any, *, path: str = "run"):
     from repro.cluster.transport import TRANSPORTS, FleetRunConfig
 
     document = _as_mapping(document, path)
+    if "epoch_us" in document:
+        raise ConfigError(
+            f"{path}.epoch_us", "the synchronization window is physics, "
+            "not an execution knob: set it on the topology as "
+            "fleet.epoch_us (or pass fleet --epoch-us)")
     _check_keys(document, path, _RUN_CONFIG_KEYS)
     fields: dict[str, Any] = {}
     for key, value in document.items():
         key_path = f"{path}.{key}"
-        if key in ("shards", "run_ahead", "max_epochs"):
-            fields[key] = _as_positive_int(value, key_path)
-        elif key == "epoch_us":
-            if value is not None:
-                value = _as_number(value, key_path, positive=True)
-            fields[key] = value
-        elif key == "transport":
+        if key == "transport":
             fields[key] = _as_str(value, key_path, choices=TRANSPORTS)
-        elif key == "spin_budget":
-            fields[key] = _as_int(value, key_path, minimum=0)
-        elif key == "processes":
-            if value is not None:
-                value = _as_bool(value, key_path)
-            fields[key] = value
-    try:
-        return FleetRunConfig(**fields)
-    except ValueError as error:
-        raise ConfigError(path, str(error)) from None
+        else:
+            fields[key] = _as_positive_int(value, key_path)
+    return FleetRunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +637,7 @@ def cell_from_document(document: Any, *, path: str = "cell"):
         elif key in ("io_size", "queue_depth"):
             fields[key] = _as_positive_int(value, key_path)
         elif key in ("io_count", "total_bytes",
-                     "ssd_capacity_bytes", "essd_capacity_bytes",
-                     "fleet_shards"):
+                     "ssd_capacity_bytes", "essd_capacity_bytes"):
             if value is not None:
                 value = _as_positive_int(value, key_path)
             fields[key] = value

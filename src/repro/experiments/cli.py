@@ -10,19 +10,20 @@ Usage (module entry point)::
     python -m repro.experiments report --quick       # full paper report
 
 ``run`` executes a registered scenario through :class:`SweepRunner`
-(parallel across worker processes by default), caches per-cell JSON results
-under ``--cache-dir`` (default ``$REPRO_SWEEP_CACHE`` or ``.sweep-cache``),
-prints a metrics table, and optionally saves the whole sweep to ``--out``;
-``--shards N`` additionally shards any fleet cells inside the pool.
-``fleet`` runs a fleet scenario through the sharded cluster layer
-(:mod:`repro.cluster`) with the same result caching: every
-``--shards`` / ``--transport`` / ``--run-ahead`` combination produces
-bit-identical fleet metrics (so none of them enters the cache key).
-Execution knobs merge into one :class:`repro.cluster.FleetRunConfig`:
-``--transport`` / ``--spin-budget`` override a document's ``run:`` block,
-while the deprecated ``--shards`` / ``--run-ahead`` / ``--epoch-us``
-aliases error (path-addressed, exit 2) when they contradict it. ``diff``
-compares two saved sweeps cell-by-cell.
+(parallel across worker processes by default; ``--serial`` keeps cells
+in-process), caches per-cell JSON results under ``--cache-dir`` (default
+``$REPRO_SWEEP_CACHE`` or ``.sweep-cache``), prints a metrics table, and
+optionally saves the whole sweep to ``--out``.  ``fleet`` runs a fleet
+scenario through the sharded cluster layer (:mod:`repro.cluster`) with the
+same result caching.  ``diff`` compares two saved sweeps cell-by-cell.
+
+``run``, ``fleet`` and ``serve`` all take the three fleet execution flags
+``--shards`` / ``--run-ahead`` / ``--transport``: together they form one
+:class:`repro.cluster.FleetRunConfig`, and every flag set away from its
+default overrides the same field of a document's ``run:`` block.  Every
+combination produces bit-identical fleet metrics, so none of them enters
+the cache key.  ``fleet --epoch-us`` is different: it changes the
+topology's synchronization window, which is physics and part of the key.
 """
 
 from __future__ import annotations
@@ -133,45 +134,16 @@ def _resolve_scenario(target: str):
         raise ValueError(error.args[0]) from None
 
 
-#: Deprecated-alias CLI flags that shadow FleetRunConfig fields.  When a
-#: scenario document's ``run:`` block sets the same field to a *different*
-#: value, the run is ambiguous and the CLI refuses it (exit 2) instead of
-#: silently picking a side.
-_FLEET_ALIAS_FLAGS = (("shards", "--shards"),
-                      ("run_ahead", "--run-ahead"),
-                      ("epoch_us", "--epoch-us"))
+def _cli_fleet_config(args):
+    """The ``--shards`` / ``--run-ahead`` / ``--transport`` flags as one
+    :class:`repro.cluster.FleetRunConfig` (``None`` when none is set).
+    Raises ``ValueError`` for an out-of-range value."""
+    from repro.cluster import FleetRunConfig
 
-
-def _alias_conflict(cell, args) -> Optional[str]:
-    """Path-addressed message for a CLI-flag / document ``run:`` clash."""
-    document = dict(cell.fleet_run)
-    for field, flag in _FLEET_ALIAS_FLAGS:
-        cli_value = getattr(args, field, None)
-        if cli_value is None or field not in document:
-            continue
-        if document[field] == cli_value:
-            continue
-        return (f"run.{field}: {flag} {cli_value} contradicts the scenario "
-                f"document's run.{field} = {document[field]} (drop the "
-                f"deprecated flag or edit the document)")
-    return None
-
-
-def _cli_fleet_overrides(args, serial_is_local: bool = False) -> dict:
-    """Explicitly-set fleet-execution CLI flags as FleetRunConfig fields.
-
-    ``serial_is_local`` is the ``fleet`` verb's reading of ``--serial``
-    (keep shards in-process); ``run``/``serve`` use ``--serial`` for the
-    sweep pool instead, so they leave fleet transport resolution alone.
-    """
-    overrides = {}
-    for field in ("shards", "run_ahead", "transport", "spin_budget"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if serial_is_local and getattr(args, "serial", False):
-        overrides["processes"] = False
-    return overrides
+    overrides = {field: getattr(args, field)
+                 for field in ("shards", "run_ahead", "transport")
+                 if getattr(args, field) is not None}
+    return FleetRunConfig(**overrides) if overrides else None
 
 
 def _cmd_run(args) -> int:
@@ -194,16 +166,8 @@ def _cmd_run(args) -> int:
     if not cells:
         print(f"scenario {spec.name!r} has no cells")
         return 1
-    for cell in cells:
-        conflict = _alias_conflict(cell, args)
-        if conflict:
-            print(f"error: {conflict}", file=sys.stderr)
-            return 2
-    from repro.cluster import FleetRunConfig
-
-    overrides = _cli_fleet_overrides(args)
     try:
-        fleet_config = FleetRunConfig(**overrides) if overrides else None
+        fleet_config = _cli_fleet_config(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -252,7 +216,7 @@ def _cmd_fleet(args) -> int:
     from dataclasses import replace
 
     from repro.cluster import FleetCoordinator, FleetTopology
-    from repro.experiments.sweep import fleet_cell_metrics
+    from repro.experiments.sweep import fleet_cell_metrics, with_run_config
 
     try:
         spec = _resolve_scenario(args.scenario)
@@ -274,11 +238,11 @@ def _cmd_fleet(args) -> int:
         return 2
     cache = None if args.no_cache \
         else SweepCache(args.cache_dir or default_cache_dir())
-    if args.serial and args.transport not in (None, "auto", "local"):
-        print(f"error: --serial contradicts --transport {args.transport} "
-              f"(drop one)", file=sys.stderr)
+    try:
+        fleet_config = _cli_fleet_config(args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    cli_overrides = _cli_fleet_overrides(args, serial_is_local=True)
     reports = []
     fault_changes = {}
     if args.faults is not None:
@@ -307,16 +271,8 @@ def _cmd_fleet(args) -> int:
             name, _, mode = entry.partition("=")
             macro_modes[name] = mode or "macro"
     for cell in fleet_cells:
-        conflict = _alias_conflict(cell, args)
-        if conflict:
-            print(f"error: {conflict}", file=sys.stderr)
-            return 2
-        try:
-            run_config = cell.run_config().merged(**cli_overrides)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        coordinator = FleetCoordinator(config=run_config)
+        coordinator = FleetCoordinator(
+            config=with_run_config(cell, fleet_config).run_config())
         if args.epoch_us is not None or fault_changes or macro_modes:
             # Fold the overrides into the cell so the cache key sees them (a
             # different synchronization window, fault schedule, or group
@@ -391,7 +347,7 @@ def _cmd_fleet(args) -> int:
             print("runtime: cached result (use --force to re-run)")
         else:
             print(f"runtime: {runtime['shards']} shard(s) "
-                  f"({runtime['mode']}, {runtime['transport']} transport), "
+                  f"({runtime['transport']} transport), "
                   f"{runtime['epochs']} epochs, "
                   f"{runtime['coordinator_rounds']} coordinator round(s), "
                   f"{runtime['wall_s']:.2f}s wall, "
@@ -489,11 +445,8 @@ def _cmd_serve(args) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     _print_scan_warnings()
-    from repro.cluster import FleetRunConfig
-
-    overrides = _cli_fleet_overrides(args)
     try:
-        fleet_config = FleetRunConfig(**overrides) if overrides else None
+        fleet_config = _cli_fleet_config(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -607,6 +560,25 @@ def _cmd_submit(args) -> int:
     return 0
 
 
+def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
+    """The fleet execution flags every fleet-running verb shares; each one
+    set away from its default overrides a document's ``run:`` block."""
+    from repro.cluster.transport import TRANSPORTS
+
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard simulators per fleet cell (default 1)")
+    parser.add_argument("--run-ahead", type=int, default=None,
+                        help="epochs granted per coordinator task for "
+                             "self-contained shards (default 16; 1 "
+                             "restores per-epoch barriers)")
+    parser.add_argument("--transport", default=None, choices=TRANSPORTS,
+                        help="shard transport: shm (shared-memory rings), "
+                             "executor (one process pool per shard), local "
+                             "(in-process), or auto (default: local for one "
+                             "shard, else shm when more than one CPU is "
+                             "usable)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -623,14 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run cells in-process instead of worker processes")
     run_parser.add_argument("--workers", type=int, default=None,
                             help="worker-process count (default: CPU count)")
-    run_parser.add_argument("--shards", type=int, default=None,
-                            help="shard count applied to fleet cells "
-                                 "(nested inside the sweep pool); errors if "
-                                 "a document's run: block disagrees")
-    run_parser.add_argument("--transport", default=None,
-                            choices=["auto", "local", "executor", "shm"],
-                            help="shard transport for fleet cells (default "
-                                 "auto: shared memory on multi-core hosts)")
+    _add_fleet_flags(run_parser)
     run_parser.add_argument("--cache-dir", default=None,
                             help="result-cache directory (default: "
                                  "$REPRO_SWEEP_CACHE or .sweep-cache)")
@@ -647,25 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_parser = sub.add_parser(
         "fleet", help="run a fleet scenario on the sharded cluster runner")
     fleet_parser.add_argument("scenario")
-    fleet_parser.add_argument("--shards", type=int, default=None,
-                              help="shard-simulator count (default 1: the "
-                                   "serial reference path); deprecated "
-                                   "alias for a run: block / FleetRunConfig "
-                                   "-- errors if a document disagrees")
-    fleet_parser.add_argument("--serial", action="store_true",
-                              help="keep all shards in-process (no worker "
-                                   "processes), whatever --shards says")
-    fleet_parser.add_argument("--transport", default=None,
-                              choices=["auto", "local", "executor", "shm"],
-                              help="shard transport: shm (shared-memory "
-                                   "rings), executor (pickle/executor "
-                                   "baseline), local (in-process), or auto "
-                                   "(default: shm when multi-core worker "
-                                   "processes are in play)")
-    fleet_parser.add_argument("--spin-budget", type=int, default=None,
-                              help="shm transport: hot-spin iterations "
-                                   "before a waiter starts sleeping "
-                                   "(default 2000)")
+    _add_fleet_flags(fleet_parser)
     fleet_parser.add_argument("--epoch-us", type=float, default=None,
                               help="override the topology's conservative "
                                    "synchronization window")
@@ -683,10 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "calibrated mean-field aggregates "
                                    "(metrics flagged approximate; part of "
                                    "the cache key)")
-    fleet_parser.add_argument("--run-ahead", type=int, default=None,
-                              help="epochs granted per coordinator task for "
-                                   "self-contained shards (default 16; 1 "
-                                   "restores per-epoch barriers)")
     fleet_parser.add_argument("--cache-dir", default=None,
                               help="result-cache directory (default: "
                                    "$REPRO_SWEEP_CACHE or .sweep-cache)")
@@ -746,11 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "processes")
     serve_parser.add_argument("--workers", type=int, default=None,
                               help="sweep worker-process count")
-    serve_parser.add_argument("--shards", type=int, default=None,
-                              help="shard count applied to fleet cells")
-    serve_parser.add_argument("--transport", default=None,
-                              choices=["auto", "local", "executor", "shm"],
-                              help="shard transport for fleet cells")
+    _add_fleet_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 
     submit_parser = sub.add_parser(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FaultPolicy,
-    FleetCoordinator,
+    FleetRunConfig,
     FleetTopology,
     ShardWorker,
     edge,
@@ -16,6 +16,7 @@ from repro.cluster import (
     fleet,
     group,
     partition_topology,
+    run_fleet,
     run_fleet_serial,
     tenant,
 )
@@ -47,6 +48,12 @@ def mini_fleet(**changes) -> FleetTopology:
         seed=5,
     )
     return topology.scaled(**changes) if changes else topology
+
+
+def run_in_process(topology: FleetTopology, shards: int, **fields) -> dict:
+    """``topology`` on ``shards`` in-process shard simulators."""
+    return run_fleet(topology, FleetRunConfig(shards=shards,
+                                              transport="local", **fields))
 
 
 def strip_runtime(payload: dict) -> dict:
@@ -126,14 +133,14 @@ def test_serial_and_sharded_runs_are_bit_identical():
     topology = mini_fleet()
     serial = run_fleet_serial(topology)
     for shards in (2, 3):
-        sharded = FleetCoordinator(shards=shards, processes=False).run(topology)
+        sharded = run_in_process(topology, shards)
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
             json.dumps(strip_runtime(serial), sort_keys=True)
 
 
 def test_shards_1_is_the_serial_path():
     topology = mini_fleet()
-    one = FleetCoordinator(shards=1, processes=False).run(topology)
+    one = run_in_process(topology, 1)
     serial = run_fleet_serial(topology)
     assert json.dumps(strip_runtime(one), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
@@ -142,10 +149,10 @@ def test_shards_1_is_the_serial_path():
 def test_process_mode_matches_in_process():
     topology = mini_fleet()
     serial = run_fleet_serial(topology)
-    processed = FleetCoordinator(shards=2, processes=True).run(topology)
+    processed = run_fleet(topology, FleetRunConfig(shards=2))
     assert json.dumps(strip_runtime(processed), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
-    assert processed["runtime"]["mode"] == "processes"
+    assert processed["runtime"]["transport"] in ("executor", "shm")
     assert processed["runtime"]["shards"] == 2
 
 
@@ -195,7 +202,7 @@ def test_replication_spanning_many_epochs_delivers_every_write():
     serial = run_fleet_serial(topology)
     assert serial["runtime"]["epochs"] > 10  # genuinely multi-epoch
     assert serial["groups"]["mirror"]["replica_writes"] == 2 * 200
-    sharded = FleetCoordinator(shards=3, processes=False).run(topology)
+    sharded = run_in_process(topology, 3)
     assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
 
@@ -225,7 +232,7 @@ def test_split_replication_target_group_keeps_replica_stats_identical():
         owners = {plan.shard_id for plan in plans
                   if set(plan.device_indices) & mirror}
         assert len(owners) > 1, "topology no longer splits the target group"
-        sharded = FleetCoordinator(shards=shards, processes=False).run(topology)
+        sharded = run_in_process(topology, shards)
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
             json.dumps(strip_runtime(serial), sort_keys=True)
 
@@ -245,7 +252,7 @@ def test_fleet_without_edges_skips_the_barrier_loop():
         tenants=[tenant("t", "g", pattern="randwrite", io_size=4096,
                         io_count=10)])
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=3, processes=False).run(topology)
+    sharded = run_in_process(topology, 3)
     assert serial["runtime"]["epochs"] == 0
     assert json.dumps(strip_runtime(serial), sort_keys=True) == \
         json.dumps(strip_runtime(sharded), sort_keys=True)
@@ -264,7 +271,7 @@ def test_trace_tenants_replay_open_loop_and_stay_layout_independent():
                         io_size=16384)],
         seed=9)
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=3, processes=False).run(topology)
+    sharded = run_in_process(topology, 3)
     assert json.dumps(strip_runtime(serial), sort_keys=True) == \
         json.dumps(strip_runtime(sharded), sort_keys=True)
     arrivals = serial["tenants"]["arrivals"]
@@ -326,8 +333,9 @@ def test_fleet_cell_runs_through_sweep_runner_with_cache(tmp_path):
 def test_cli_fleet_verb_runs_and_saves_report(tmp_path, capsys):
     _register_mini_scenario()
     out = tmp_path / "fleet.json"
-    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
-                     "--shards", "2", "--no-cache", "--out", str(out)]) == 0
+    assert cli_main(["fleet", "mini-fleet-under-test", "--transport",
+                     "local", "--shards", "2", "--no-cache", "--out",
+                     str(out)]) == 0
     printed = capsys.readouterr().out
     assert "frontend" in printed and "2 shard(s)" in printed
     reports = json.loads(out.read_text())
@@ -344,29 +352,27 @@ def test_cli_fleet_verb_honors_sweep_cache_env(tmp_path, capsys, monkeypatch):
     entirely, re-simulating every invocation)."""
     _register_mini_scenario()
     monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path / "cache"))
-    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
-                     "--quick"]) == 0
+    assert cli_main(["fleet", "mini-fleet-under-test", "--quick"]) == 0
     first = capsys.readouterr().out
     assert "cached result" not in first
     cache_files = list((tmp_path / "cache").rglob("*.json"))
     assert cache_files, "fleet verb wrote nothing to $REPRO_SWEEP_CACHE"
-    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
-                     "--quick"]) == 0
+    assert cli_main(["fleet", "mini-fleet-under-test", "--quick"]) == 0
     second = capsys.readouterr().out
     assert "cached result" in second
     # The physics tables are identical between the fresh and cached pass.
     assert first.split("runtime:")[0] == second.split("runtime:")[0]
     # A different shard count / run-ahead still hits the same cache entry
     # (execution details are excluded from the key) ...
-    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
+    assert cli_main(["fleet", "mini-fleet-under-test",
                      "--quick", "--shards", "3", "--run-ahead", "1"]) == 0
     assert "cached result" in capsys.readouterr().out
     # ... while an epoch override is different physics: fresh run.
-    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
+    assert cli_main(["fleet", "mini-fleet-under-test",
                      "--quick", "--epoch-us", "400.0"]) == 0
     assert "cached result" not in capsys.readouterr().out
     # --force bypasses, --no-cache disables.
-    assert cli_main(["fleet", "mini-fleet-under-test", "--serial",
+    assert cli_main(["fleet", "mini-fleet-under-test",
                      "--quick", "--force"]) == 0
     assert "cached result" not in capsys.readouterr().out
 
@@ -377,21 +383,21 @@ def test_sweep_runner_passes_shards_down_to_fleet_cells(tmp_path):
     spec = _register_mini_scenario()
     cells = spec.cells()[:1]
     serial = SweepRunner().run_cells(spec.name, cells)
-    sharded = SweepRunner(parallel=True, fleet_shards=2,
-                          cache_dir=None).run_cells(spec.name, cells)
+    sharded = SweepRunner(parallel=True, cache_dir=None,
+                          fleet_config=FleetRunConfig(shards=2)
+                          ).run_cells(spec.name, cells)
     assert serial.outcomes[0].metrics == sharded.outcomes[0].metrics
     # The shard count is an execution detail: same cache key either way.
     assert cells[0].cache_key() == \
         sharded.outcomes[0].cell.cache_key()
-    assert sharded.outcomes[0].cell.fleet_shards == 2
+    assert sharded.outcomes[0].cell.run_config().shards == 2
 
 
 def test_coordinator_run_ahead_values_are_bit_identical():
     topology = mini_fleet()
     reference = run_fleet_serial(topology)
     for shards, run_ahead in ((1, 1), (2, 4), (3, 1), (3, 64)):
-        payload = FleetCoordinator(shards=shards, processes=False,
-                                   run_ahead=run_ahead).run(topology)
+        payload = run_in_process(topology, shards, run_ahead=run_ahead)
         assert json.dumps(strip_runtime(payload), sort_keys=True) == \
             json.dumps(strip_runtime(reference), sort_keys=True), \
             (shards, run_ahead)
@@ -401,10 +407,8 @@ def test_batched_coordination_cuts_tasks_per_busy_epoch():
     """Self-contained shards get multi-epoch grants: coordinator rounds
     drop from one per busy epoch to one per run-ahead window."""
     topology = mini_fleet()
-    per_epoch = FleetCoordinator(shards=2, processes=False,
-                                 run_ahead=1).run(topology)
-    batched = FleetCoordinator(shards=2, processes=False,
-                               run_ahead=64).run(topology)
+    per_epoch = run_in_process(topology, 2, run_ahead=1)
+    batched = run_in_process(topology, 2, run_ahead=64)
     assert per_epoch["runtime"]["batched"]
     assert batched["runtime"]["batched"]
     assert per_epoch["runtime"]["coordinator_rounds"] == \
@@ -508,8 +512,7 @@ def test_random_fault_schedules_stay_layout_independent(
     reference = json.dumps(strip_runtime(run_fleet_serial(topology)),
                            sort_keys=True)
     for shards, run_ahead in ((2, 1), (2, 16), (4, 4)):
-        payload = FleetCoordinator(shards=shards, processes=False,
-                                   run_ahead=run_ahead).run(topology)
+        payload = run_in_process(topology, shards, run_ahead=run_ahead)
         assert json.dumps(strip_runtime(payload), sort_keys=True) == \
             reference, (shards, run_ahead)
 
@@ -529,6 +532,6 @@ def test_faulted_fleet_is_bit_identical_across_shard_counts():
     assert serial["faults"]["rebuild_writes"] > 0
     reference = json.dumps(strip_runtime(serial), sort_keys=True)
     for shards in (2, 3, 4):
-        sharded = FleetCoordinator(shards=shards, processes=False).run(topology)
+        sharded = run_in_process(topology, shards)
         assert json.dumps(strip_runtime(sharded), sort_keys=True) == \
             reference, shards

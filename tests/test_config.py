@@ -250,6 +250,20 @@ class TestScenarioDocuments:
             cell_from_document({"pattern": "randread"})
         assert "device" in str(excinfo.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("epoch_us", 500.0), ("processes", False), ("spin_budget", 50),
+        ("max_epochs", 1000)])
+    def test_retired_run_keys_are_path_addressed_errors(self, key, value):
+        """The run: block holds only shards, run_ahead and transport; the
+        synchronization window belongs to the topology."""
+        doc = topology_to_document(demo_topology())
+        doc["run"] = {"shards": 2, key: value}
+        with pytest.raises(ConfigError) as excinfo:
+            scenario_for_document(doc, path="doc")
+        assert excinfo.value.path == f"doc.run.{key}"
+        if key == "epoch_us":
+            assert "fleet.epoch_us" in excinfo.value.message
+
 
 # ---------------------------------------------------------------------------
 # Loader and $REPRO_SCENARIO_PATH

@@ -396,7 +396,7 @@ def test_cli_fleet_faults_flag(tmp_path, capsys):
         [fault("fail", "db", at_us=50.0, device=0, spare="spare")],
         FaultPolicy(shed_penalty_us=50.0)))
     out = tmp_path / "report.json"
-    assert cli_main(["fleet", "cli-faults-under-test", "--serial",
+    assert cli_main(["fleet", "cli-faults-under-test",
                      "--no-cache", "--faults", f"@{spec_path}",
                      "--out", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -404,9 +404,9 @@ def test_cli_fleet_faults_flag(tmp_path, capsys):
     [report] = json.loads(out.read_text())
     assert report["result"]["faults"]["shed_ios"] > 0
     # Malformed schedules fail cleanly with exit code 2.
-    assert cli_main(["fleet", "cli-faults-under-test", "--serial",
+    assert cli_main(["fleet", "cli-faults-under-test",
                      "--no-cache", "--faults", "{not json"]) == 2
-    assert cli_main(["fleet", "cli-faults-under-test", "--serial",
+    assert cli_main(["fleet", "cli-faults-under-test",
                      "--no-cache",
                      "--faults", '[{"kind": "bad", "group": "db", '
                                  '"at_us": 1.0}]']) == 2

@@ -43,7 +43,7 @@ def error_scenario():
 
 
 def run_cli(args):
-    return cli_main(["fleet", "cli-errors-under-test", "--serial",
+    return cli_main(["fleet", "cli-errors-under-test",
                      "--no-cache", *args])
 
 
@@ -136,6 +136,34 @@ def test_invalid_document_path_is_a_clean_error(verb, tmp_path, capsys):
     assert "error:" in captured.err
     assert "groups[0].count: expected positive int" in captured.err
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Fleet execution flags vs a document's run: block
+# ---------------------------------------------------------------------------
+
+def test_execution_flags_override_run_block_the_same_way_on_every_verb(
+        tmp_path, capsys):
+    """``--transport`` beats the document's ``run.transport`` on both
+    ``run`` and ``fleet``, and the field no flag sets (``shards``) keeps
+    the document's value (regression: ``run`` let the document win)."""
+    document = error_fleet().to_document()
+    document["run"] = {"transport": "local", "shards": 2}
+    path = tmp_path / "precedence.json"
+    path.write_text(json.dumps(document))
+
+    sweep_out = tmp_path / "sweep.json"
+    assert cli_main(["run", str(path), "--serial", "--no-cache",
+                     "--transport", "executor", "--out", str(sweep_out)]) == 0
+    cell = SweepResult.load(sweep_out).outcomes[0].cell
+    assert dict(cell.fleet_run) == {"shards": 2, "transport": "executor"}
+
+    fleet_out = tmp_path / "fleet.json"
+    assert cli_main(["fleet", str(path), "--no-cache", "--transport",
+                     "executor", "--out", str(fleet_out)]) == 0
+    runtime = json.loads(fleet_out.read_text())[0]["result"]["runtime"]
+    assert (runtime["shards"], runtime["transport"]) == (2, "executor")
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ import pytest
 
 from repro.cluster import (
     FaultPolicy,
-    FleetCoordinator,
+    FleetRunConfig,
     FleetTopology,
     edge,
     fault,
     fleet,
     group,
+    run_fleet,
     run_fleet_serial,
     tenant,
 )
@@ -202,7 +203,7 @@ def mixed_mode_fleet(**changes) -> FleetTopology:
 def test_mixed_macro_fleet_is_bit_identical_across_layouts(shards):
     topology = mixed_mode_fleet()
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=shards).run(topology)
+    sharded = run_fleet(topology, FleetRunConfig(shards=shards))
     assert canonical(serial) == canonical(sharded)
     # Replica byte conservation across the aggregate boundary: dst receives
     # exactly replication_factor x the macro source's writes.
@@ -212,7 +213,7 @@ def test_mixed_macro_fleet_is_bit_identical_across_layouts(shards):
 
 def test_macro_group_is_never_split_across_shards():
     topology = mixed_mode_fleet()
-    payload = FleetCoordinator(shards=4).run(topology)
+    payload = run_fleet(topology, FleetRunConfig(shards=4))
     partition = payload["runtime"]["partition"]
     for indices in (topology.group_indices("src"),
                     topology.group_indices("back")):
@@ -249,7 +250,7 @@ def faulted_macro_fleet() -> FleetTopology:
 def test_faulted_macro_fleet_sheds_rebuilds_and_stays_deterministic():
     topology = faulted_macro_fleet()
     serial = run_fleet_serial(topology)
-    sharded = FleetCoordinator(shards=2).run(topology)
+    sharded = run_fleet(topology, FleetRunConfig(shards=2))
     assert canonical(serial) == canonical(sharded)
 
     faults = serial["faults"]
@@ -282,7 +283,7 @@ def _register_macro_scenario():
 def test_cli_macro_override_flags_results_approximate(tmp_path, capsys):
     _register_macro_scenario()
     out = tmp_path / "macro.json"
-    assert cli_main(["fleet", "mini-macro-under-test", "--serial",
+    assert cli_main(["fleet", "mini-macro-under-test",
                      "--no-cache", "--macro", "src,back=macro",
                      "--out", str(out)]) == 0
     capsys.readouterr()
@@ -297,7 +298,7 @@ def test_cli_macro_override_flags_results_approximate(tmp_path, capsys):
 def test_cli_macro_override_matches_library_run(tmp_path, capsys):
     _register_macro_scenario()
     out = tmp_path / "macro.json"
-    assert cli_main(["fleet", "mini-macro-under-test", "--serial",
+    assert cli_main(["fleet", "mini-macro-under-test",
                      "--no-cache", "--macro", "src,back",
                      "--out", str(out)]) == 0
     capsys.readouterr()

@@ -400,6 +400,28 @@ def test_sweep_result_save_load_find_and_diff(tmp_path):
     assert all(row["relative_change"] == pytest.approx(0.0) for row in rows)
 
 
+def test_sweep_saved_with_retired_fleet_shards_key_still_loads(tmp_path,
+                                                              capsys):
+    """Sweeps saved while cells still carried a ``fleet_shards`` field stay
+    loadable and diffable against new ones: the key never entered the
+    cache key, so dropping it on load loses nothing."""
+    cells = TINY_SWEEP.cells()[:2]
+    result = SweepRunner().run_cells("tiny", cells)
+    new_path = result.save(tmp_path / "new.json")
+    payload = json.loads(new_path.read_text())
+    for entry in payload["cells"]:
+        entry["cell"]["fleet_shards"] = 1
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(payload))
+    loaded = SweepResult.load(old_path)
+    assert [outcome.cell for outcome in loaded.outcomes] == cells
+    assert [outcome.cell.cache_key() for outcome in loaded.outcomes] == \
+        [cell.cache_key() for cell in cells]
+    assert cli_main(["diff", str(old_path), str(new_path),
+                     "--fail-on-change"]) == 0
+    assert "0 cells changed" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
-    FleetCoordinator,
     FleetRunConfig,
     SharedMemoryTransport,
     edge,
@@ -43,6 +42,7 @@ from repro.cluster.transport import (
     create_transport,
     decode_message,
     encode_message,
+    usable_cpus,
 )
 
 MINI_CAPACITY = 1 << 24
@@ -273,9 +273,8 @@ def test_ring_counters_are_never_read_torn_across_processes():
 # ---------------------------------------------------------------------------
 
 def test_run_config_validation():
-    for bad in (dict(shards=0), dict(run_ahead=0), dict(epoch_us=0.0),
-                dict(transport="carrier-pigeon"), dict(spin_budget=-1),
-                dict(max_epochs=0)):
+    for bad in (dict(shards=0), dict(run_ahead=0),
+                dict(transport="carrier-pigeon")):
         with pytest.raises(ValueError):
             FleetRunConfig(**bad)
 
@@ -287,15 +286,23 @@ def test_run_config_merged_skips_none():
     assert (merged.shards, merged.run_ahead, merged.transport) == (4, 2, "shm")
 
 
-def test_run_config_transport_resolution():
+def test_run_config_transport_resolution(monkeypatch):
+    import repro.cluster.transport as transport_module
+
     assert FleetRunConfig(shards=1).resolve_transport() == "local"
-    assert FleetRunConfig(shards=4, processes=False) \
+    assert FleetRunConfig(shards=4, transport="local") \
         .resolve_transport() == "local"
-    # An explicit transport always wins over the processes alias.
-    assert FleetRunConfig(shards=4, processes=False, transport="shm") \
+    assert FleetRunConfig(shards=4, transport="shm") \
         .resolve_transport() == "shm"
     resolved = FleetRunConfig(shards=4).resolve_transport()
-    assert resolved == ("shm" if (os.cpu_count() or 1) > 1 else "executor")
+    assert resolved == ("shm" if usable_cpus() > 1 else "executor")
+    # ``auto`` counts the CPUs the process may use, not the host's cores:
+    # pinned to one core (taskset -c 0) it picks executor.
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(transport_module.os, "sched_getaffinity",
+                            lambda pid: {0})
+        assert usable_cpus() == 1
+        assert FleetRunConfig(shards=4).resolve_transport() == "executor"
 
 
 def test_run_config_pairs_roundtrip():
@@ -305,16 +312,6 @@ def test_run_config_pairs_roundtrip():
                            "run_ahead": 4}
     assert FleetRunConfig.from_pairs(pairs) == config
     assert FleetRunConfig().to_pairs() == ()
-
-
-def test_coordinator_kwargs_are_aliases_for_config():
-    via_kwargs = FleetCoordinator(shards=2, processes=False, run_ahead=4)
-    via_config = FleetCoordinator(
-        config=FleetRunConfig(shards=2, processes=False, run_ahead=4))
-    assert via_kwargs.config == via_config.config
-    # Kwargs override the config they ride along with.
-    assert FleetCoordinator(config=FleetRunConfig(shards=2),
-                            shards=5).config.shards == 5
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +360,48 @@ def test_fault_spare_pair_is_coupled():
 _TEST_SPIN = 50
 
 
+def build_shm_with(monkeypatch, **shm_kwargs):
+    """Make the coordinator build its shm transports with ``shm_kwargs``
+    (the constructor-only knobs: ``spin_budget``, ``ring_slots``)."""
+    import repro.cluster.coordinator as coordinator_module
+
+    def create(kind, topology, plans):
+        if kind == "shm":
+            return SharedMemoryTransport(topology, plans, **shm_kwargs)
+        return create_transport(kind, topology, plans)
+
+    monkeypatch.setattr(coordinator_module, "create_transport", create)
+
+
+@pytest.fixture
+def small_spin(monkeypatch):
+    build_shm_with(monkeypatch, spin_budget=_TEST_SPIN)
+
+
 @pytest.mark.parametrize("transport", ["local", "executor", "shm"])
 @pytest.mark.parametrize("shards", [2, 3])
-def test_transports_are_bit_identical_to_serial(transport, shards):
+def test_transports_are_bit_identical_to_serial(transport, shards,
+                                                small_spin):
     reference = strip_runtime(run_fleet_serial(mini_fleet()))
-    payload = run_fleet(mini_fleet(), shards=shards, transport=transport,
-                        spin_budget=_TEST_SPIN)
+    payload = run_fleet(mini_fleet(), FleetRunConfig(shards=shards,
+                                                     transport=transport))
     assert payload["runtime"]["transport"] == transport
     assert strip_runtime(payload) == reference
 
 
 @pytest.mark.parametrize("transport", ["executor", "shm"])
-def test_faulted_fleet_identical_across_transports(transport):
+def test_faulted_fleet_identical_across_transports(transport, small_spin):
     reference = strip_runtime(run_fleet_serial(faulted_fleet()))
-    payload = run_fleet(faulted_fleet(), shards=2, transport=transport,
-                        spin_budget=_TEST_SPIN)
+    payload = run_fleet(faulted_fleet(),
+                        FleetRunConfig(shards=2, transport=transport))
     assert strip_runtime(payload) == reference
 
 
-def test_macro_fleet_identical_across_transports():
+def test_macro_fleet_identical_across_transports(small_spin):
     reference = strip_runtime(run_fleet_serial(macro_fleet()))
     for transport in ("local", "shm"):
-        payload = run_fleet(macro_fleet(), shards=2, transport=transport,
-                            spin_budget=_TEST_SPIN)
+        payload = run_fleet(macro_fleet(),
+                            FleetRunConfig(shards=2, transport=transport))
         assert strip_runtime(payload) == reference
 
 
@@ -395,8 +411,8 @@ def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
     coupled by the replication edge) and singleton web shards that keep
     batched run-ahead windows -- both gears in one run."""
     reference = strip_runtime(run_fleet_serial(mini_fleet()))
-    payload = run_fleet(mini_fleet(), shards=3, transport="local",
-                        run_ahead=run_ahead)
+    payload = run_fleet(mini_fleet(), FleetRunConfig(
+        shards=3, transport="local", run_ahead=run_ahead))
     runtime = payload["runtime"]
     assert runtime["components"] == 2
     assert runtime["lockstep_shards"] == 2
@@ -410,16 +426,10 @@ def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
 def test_shm_overflow_spills_to_side_channel(monkeypatch):
     """One-slot rings force every multi-message batch through the pipe
     side channel; the run must still be bit-identical to serial."""
-    import repro.cluster.coordinator as coordinator_module
-
-    def tiny_rings(kind, topology, plans, spin_budget):
-        return create_transport(kind, topology, plans,
-                                spin_budget=spin_budget, ring_slots=1)
-
-    monkeypatch.setattr(coordinator_module, "create_transport", tiny_rings)
+    build_shm_with(monkeypatch, spin_budget=_TEST_SPIN, ring_slots=1)
     reference = strip_runtime(run_fleet_serial(mini_fleet()))
-    payload = run_fleet(mini_fleet(), shards=2, transport="shm",
-                        spin_budget=_TEST_SPIN)
+    payload = run_fleet(mini_fleet(),
+                        FleetRunConfig(shards=2, transport="shm"))
     assert strip_runtime(payload) == reference
 
 
