@@ -119,39 +119,38 @@ Shard transports
 ----------------
 The coordinator never talks to worker processes directly: it posts
 advance grants to a :class:`~repro.cluster.ShardTransport` and waits for
-the responses.  Three implementations ship (``repro.cluster.transport``):
+the responses.  Two implementations ship (``repro.cluster.transport``):
 
 ``local`` (:class:`~repro.cluster.InProcessTransport`)
     Every shard as a plain in-process object.  The serial reference path;
-    what ``auto`` resolves to for one shard.
-
-``executor`` (:class:`~repro.cluster.ExecutorTransport`)
-    The faithful multi-process baseline: one persistent single-worker
-    ``ProcessPoolExecutor`` per shard, one pickled task round-trip per
-    grant.  What ``auto`` picks when only one CPU is usable (counted from
-    the process's affinity mask, so ``taskset -c 0`` counts as one): pinned
-    to one core it beats ``shm``, whose spinning waiters compete with the
-    shard they wait on.
+    what ``auto`` resolves to for one shard, or when only one CPU is
+    usable (counted from the process's affinity mask, so ``taskset -c 0``
+    counts as one): pinned to one core, worker processes only add
+    round-trips to the core the shards already share.
 
 ``shm`` (:class:`~repro.cluster.SharedMemoryTransport`)
-    ``multiprocessing.shared_memory`` rings per coordinator<->shard pair
-    plus a lock-free barrier word per shard: workers spin-then-sleep on
-    their command word (a fixed budget of hot spins, then escalating
-    sleeps), messages travel as fixed 64-byte struct-encoded slots, and
-    batches that outgrow the ring spill to a pipe side channel --
-    correctness never depends on buffer size.  What ``auto`` picks for
-    several shards when more than one CPU is usable.
+    One worker process per shard, with ``multiprocessing.shared_memory``
+    rings per coordinator<->shard pair plus a lock-free barrier word per
+    shard: workers spin-then-sleep on their command word (a fixed budget
+    of hot spins, then escalating sleeps), messages travel as fixed
+    64-byte struct-encoded slots, and batches that outgrow the ring spill
+    to a pipe side channel -- correctness never depends on buffer size.
+    A worker whose coordinator dies (even by ``SIGKILL``) exits on its
+    own and unlinks its segment.  What ``auto`` picks when the fleet
+    partitions into several shards and more than one CPU is usable.
 
-``transport="auto"`` (the default) picks between them by shard count and
-usable CPUs; every choice is bit-identical, so the knob only moves wall
-clock.  ``BENCH_fleet.json`` records each transport's scaling per shard
+``transport="auto"`` (the default) picks between them by effective shard
+count and usable CPUs; every choice is bit-identical, so the knob only
+moves wall clock.  The effective count can be lower than requested: a
+macro group is one unsplittable atom, and shards that would own nothing
+are dropped.  ``BENCH_fleet.json`` records the ``shm`` scaling per shard
 count.
 
 FleetRunConfig: the three execution knobs
 -----------------------------------------
 :class:`~repro.cluster.FleetRunConfig` is the one way to say how a fleet
 runs.  It has three fields: ``shards`` (default 1), ``run_ahead``
-(default 16) and ``transport`` (``auto | local | executor | shm``,
+(default 16) and ``transport`` (``auto | local | shm``,
 default ``auto``).  It reaches every entry point under the same names::
 
     from repro.cluster import FleetCoordinator, FleetRunConfig, run_fleet
@@ -259,7 +258,7 @@ so the empty block is the default config::
 
     run:
       shards: 4
-      transport: shm      # auto | local | executor | shm
+      transport: shm      # auto | local | shm
       run_ahead: 32
 
 Any other key is a path-addressed error; ``run.epoch_us`` names

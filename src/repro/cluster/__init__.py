@@ -12,7 +12,7 @@ Layer 5 of the stack (kernel -> devices -> workloads -> sweeps -> cluster):
   ``shards=1`` is the serial path; every layout is bit-identical.
 * :mod:`repro.cluster.transport` -- how grants and message batches move
   between coordinator and shards (:class:`ShardTransport`): in-process
-  calls, a dedicated executor process per shard, or shared-memory rings;
+  calls or shared-memory rings to one worker process per shard;
   the execution knobs (shards, run-ahead, transport) live on
   :class:`FleetRunConfig`.
 * :mod:`repro.cluster.metrics` -- per-tenant / per-group / fleet-wide
@@ -38,7 +38,6 @@ from repro.cluster.macro import MacroCalibration, MacroGroup, calibrate_workload
 from repro.cluster.metrics import fleet_headline, merge_shard_payloads
 from repro.cluster.shard import ReplicaMessage, ShardPlan, ShardWorker
 from repro.cluster.transport import (
-    ExecutorTransport,
     FleetRunConfig,
     InProcessTransport,
     SharedMemoryTransport,
@@ -80,7 +79,6 @@ __all__ = [
     "FleetRunConfig",
     "ShardTransport",
     "InProcessTransport",
-    "ExecutorTransport",
     "SharedMemoryTransport",
     "create_transport",
     "partition_topology",

@@ -4,7 +4,9 @@ Partitioning (:func:`partition_topology`) is **device-affinity** based:
 replication edges connect groups into clusters (union-find), whole clusters
 are placed onto the least-loaded shard first (so edges stay intra-shard
 whenever the cluster count allows), and only when shards would otherwise
-sit empty is a shard's device list split at device granularity.
+sit empty is a shard's device list split at device granularity.  A shard
+that still owns nothing (a macro group is one unsplittable atom) is
+dropped, so a run may end up with fewer shards than requested.
 
 Execution (:class:`FleetCoordinator`) is a conservative time-window loop
 over **coupling components** (:func:`~repro.cluster.transport.coupling_components`):
@@ -39,8 +41,8 @@ loop entirely: each shard drains to completion in a single advance.
 
 How grants and responses physically move between coordinator and shards
 is the :class:`~repro.cluster.transport.ShardTransport` contract
-(in-process calls, a dedicated single-worker executor per shard, or
-shared-memory rings -- see :mod:`repro.cluster.transport`); every knob
+(in-process calls or shared-memory rings to one worker process per shard
+-- see :mod:`repro.cluster.transport`); every knob
 lives on :class:`~repro.cluster.transport.FleetRunConfig`.
 """
 
@@ -71,7 +73,8 @@ __all__ = ["partition_topology", "FleetCoordinator", "FleetRunConfig",
 # ---------------------------------------------------------------------------
 
 def partition_topology(topology: FleetTopology, shards: int) -> list[ShardPlan]:
-    """Split the fleet's devices into ``shards`` device-affinity slices."""
+    """Split the fleet's devices into at most ``shards`` non-empty
+    device-affinity slices, numbered ``0..k-1``."""
     if shards < 1:
         raise ValueError("shards must be >= 1")
     shards = min(shards, topology.total_devices)
@@ -158,7 +161,7 @@ def partition_topology(topology: FleetTopology, shards: int) -> list[ShardPlan]:
         assignments[donor] = assignments[donor][:keep]
 
     return [ShardPlan(shard_id=sid, device_indices=tuple(sorted(indices)))
-            for sid, indices in enumerate(assignments)]
+            for sid, indices in enumerate(filter(None, assignments))]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ class FleetCoordinator:
         owner = {index: plan.shard_id for plan in plans
                  for index in plan.device_indices}
         started = time.perf_counter()
-        transport_kind = config.resolve_transport()
+        transport_kind = config.merged(shards=len(plans)).resolve_transport()
         transport = create_transport(transport_kind, topology, plans)
         components = coupling_components(topology, owner, len(plans))
         lockstep = [component for component in components

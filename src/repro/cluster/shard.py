@@ -24,12 +24,6 @@ stream), and then advances in **bounded time epochs**:
   **self-delivering** shard (``advance(..., self_deliver=True)``) consume
   its own intra-shard replica traffic across a multi-epoch run-ahead
   window and still stay bit-identical to the coordinator-mediated path.
-
-The module-level ``_worker_*`` functions are the process-pool entry points:
-the coordinator gives each shard a dedicated single-worker
-``ProcessPoolExecutor``, so the worker process keeps the ``ShardWorker``
-(simulator, devices, half-run generators) resident in a module global
-between epoch tasks.
 """
 
 from __future__ import annotations
@@ -769,30 +763,3 @@ def _result_payload(result, accumulator: Optional[dict],
         payload["completion_times"] = record
     return payload
 
-
-# ---------------------------------------------------------------------------
-# Process-pool entry points (one dedicated worker process per shard)
-# ---------------------------------------------------------------------------
-
-_WORKER: Optional[ShardWorker] = None
-
-
-def _worker_init(topology_json: str, plan_payload: dict) -> int:
-    """Build the resident ShardWorker inside the dedicated worker process."""
-    global _WORKER
-    _WORKER = ShardWorker(FleetTopology.from_json(topology_json),
-                          ShardPlan.from_payload(plan_payload))
-    return _WORKER.plan.shard_id
-
-
-def _worker_advance(until_us: Optional[float],
-                    inbound: list[ReplicaMessage],
-                    self_deliver: bool = False,
-                    ) -> tuple[list[ReplicaMessage], float, int]:
-    assert _WORKER is not None, "shard worker not initialised"
-    return _WORKER.advance(until_us, inbound, self_deliver)
-
-
-def _worker_collect() -> dict[str, Any]:
-    assert _WORKER is not None, "shard worker not initialised"
-    return _WORKER.collect()

@@ -4,20 +4,19 @@ The conservative epoch loop in :mod:`repro.cluster.coordinator` is
 transport-agnostic: it *posts* an advance grant to each shard (a barrier
 time plus a batch of inbound :class:`ReplicaMessage`), *waits* for the
 ``(outbound, peek, ran)`` response, and finally *collects* each shard's
-metrics payload.  :class:`ShardTransport` is that contract; three
+metrics payload.  :class:`ShardTransport` is that contract; two
 implementations ship:
 
 * :class:`InProcessTransport` -- every shard is a plain in-process
-  :class:`ShardWorker`.  The serial reference path and the test default.
-* :class:`ExecutorTransport` -- the faithful multi-process baseline: one
-  persistent single-worker ``ProcessPoolExecutor`` per shard, pickled
-  task-per-grant round-trips.  What ``auto`` picks when one CPU is usable.
-* :class:`SharedMemoryTransport` -- ``multiprocessing.shared_memory``
-  ring buffers per coordinator<->shard pair plus a lock-free barrier word
-  per shard.  Workers spin-then-sleep on their command word; messages
-  travel as fixed 64-byte struct-encoded slots; batches that outgrow the
-  ring spill to a pipe side channel, so **correctness never depends on
-  buffer size**.  What ``auto`` picks when more than one CPU is usable.
+  :class:`ShardWorker`.  The serial reference path and the test default;
+  what ``auto`` picks for one shard or one usable CPU.
+* :class:`SharedMemoryTransport` -- one worker process per shard, talking
+  over ``multiprocessing.shared_memory`` ring buffers plus a lock-free
+  barrier word per shard.  Workers spin-then-sleep on their command word;
+  messages travel as fixed 64-byte struct-encoded slots; batches that
+  outgrow the ring spill to a pipe side channel, so **correctness never
+  depends on buffer size**.  What ``auto`` picks when the fleet has more
+  than one shard and more than one CPU is usable.
 
 The three execution knobs -- shard count, run-ahead window, transport --
 live on one :class:`FleetRunConfig` dataclass, the only way to set them.
@@ -36,7 +35,9 @@ Safety notes for the shared-memory path:
 * **Crash detection.**  The coordinator's wait loop checks worker
   liveness and an explicit error word while sleeping; a worker that dies
   mid-grant (or raises) surfaces as a clean ``RuntimeError`` naming the
-  shard instead of a hang or a half-read batch.
+  shard instead of a hang or a half-read batch.  Symmetrically, an idle
+  worker whose coordinator died (even by ``SIGKILL``) notices it was
+  reparented and exits, unlinking its segment.
 """
 
 from __future__ import annotations
@@ -45,26 +46,17 @@ import os
 import struct
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from multiprocessing import Pipe, Process, shared_memory
 from typing import Any, Optional, Sequence
 
-from repro.cluster.shard import (
-    ReplicaMessage,
-    ShardPlan,
-    ShardWorker,
-    _worker_advance,
-    _worker_collect,
-    _worker_init,
-)
+from repro.cluster.shard import ReplicaMessage, ShardPlan, ShardWorker
 from repro.cluster.topology import FleetTopology
 
 __all__ = [
     "FleetRunConfig",
     "ShardTransport",
     "InProcessTransport",
-    "ExecutorTransport",
     "SharedMemoryTransport",
     "MessageRing",
     "create_transport",
@@ -96,9 +88,9 @@ DEFAULT_SPIN_BUDGET = 2_000
 DEFAULT_RING_SLOTS = 1_024
 
 #: Accepted ``FleetRunConfig.transport`` values.  ``auto`` resolves to
-#: ``local`` for one shard, else ``shm`` when more than one CPU is usable
-#: and ``executor`` otherwise.
-TRANSPORTS = ("auto", "local", "executor", "shm")
+#: ``shm`` when there is more than one shard and more than one usable CPU,
+#: and to ``local`` otherwise.
+TRANSPORTS = ("auto", "local", "shm")
 
 
 def usable_cpus() -> int:
@@ -132,8 +124,8 @@ class FleetRunConfig:
     #: Epochs granted per coordinator task to self-contained shards.
     #: ``run_ahead=1`` restores one-task-per-busy-epoch coordination.
     run_ahead: int = DEFAULT_RUN_AHEAD
-    #: One of :data:`TRANSPORTS`.  ``auto`` picks ``local`` for one shard,
-    #: else ``shm``/``executor`` by usable core count.
+    #: One of :data:`TRANSPORTS`.  ``auto`` picks ``shm`` for more than
+    #: one shard on more than one usable CPU, else ``local``.
     transport: str = "auto"
 
     def __post_init__(self) -> None:
@@ -158,9 +150,7 @@ class FleetRunConfig:
         """The concrete transport this config runs on *this* host."""
         if self.transport != "auto":
             return self.transport
-        if self.shards == 1:
-            return "local"
-        return "shm" if usable_cpus() > 1 else "executor"
+        return "shm" if self.shards > 1 and usable_cpus() > 1 else "local"
 
     # -- pairs form: hashable non-default fields, used by CellSpec --------
 
@@ -368,13 +358,6 @@ class ShardTransport:
             self.post(shard_id, until_us, inbox, self_deliver)
         return [self.wait(shard_id) for shard_id in range(len(inboxes))]
 
-    def advance_subset(self, shard_ids: Sequence[int],
-                       until_us: Optional[float], self_deliver: bool = False,
-                       ) -> list[tuple[list[ReplicaMessage], float, int]]:
-        for shard_id in shard_ids:
-            self.post(shard_id, until_us, [], self_deliver)
-        return [self.wait(shard_id) for shard_id in shard_ids]
-
 
 class InProcessTransport(ShardTransport):
     """All shards as in-process objects (the serial / test path)."""
@@ -400,45 +383,6 @@ class InProcessTransport(ShardTransport):
 
     def close(self):
         pass
-
-
-class ExecutorTransport(ShardTransport):
-    """The pickle/executor baseline: one persistent single-worker
-    ``ProcessPoolExecutor`` per shard, so the worker process keeps the
-    shard's simulator resident between grants (plain shared pools give no
-    task-to-process affinity)."""
-
-    name = "executor"
-
-    def __init__(self, topology: FleetTopology, plans: Sequence[ShardPlan]):
-        self.pools = [ProcessPoolExecutor(max_workers=1) for _ in plans]
-        payload = topology.canonical()
-        init = [pool.submit(_worker_init, payload, plan.to_payload())
-                for pool, plan in zip(self.pools, plans)]
-        for future in init:
-            future.result()
-        self._futures: dict[int, Any] = {}
-        self._events = 0
-
-    def post(self, shard_id, until_us, inbound, self_deliver=False):
-        self._futures[shard_id] = self.pools[shard_id].submit(
-            _worker_advance, until_us, list(inbound), self_deliver)
-
-    def wait(self, shard_id):
-        return self._futures.pop(shard_id).result()
-
-    def collect_all(self):
-        futures = [pool.submit(_worker_collect) for pool in self.pools]
-        payloads = [future.result() for future in futures]
-        self._events = sum(payload["scheduled_events"] for payload in payloads)
-        return payloads
-
-    def scheduled_events(self):
-        return self._events
-
-    def close(self):
-        for pool in self.pools:
-            pool.shutdown(wait=False)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +432,8 @@ def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
                      topology_json: str, plan_payload: dict,
                      conn) -> None:
     """Entry point of one shared-memory shard worker process."""
+    parent = os.getppid()
+    orphaned = False
     segment = shared_memory.SharedMemory(name=shm_name)
     buf = segment.buf
     words, reals = _control_words(buf)
@@ -511,6 +457,11 @@ def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
             while words[_CTRL_COMMAND_SEQ] == last_seq:
                 spins += 1
                 if spins > spin_budget:
+                    if os.getppid() != parent:
+                        # The coordinator died without stopping us (e.g.
+                        # SIGKILL): nobody will ever post again.
+                        orphaned = True
+                        return
                     time.sleep(delay)
                     delay = min(delay * 2, _SLEEP_CEIL_S)
             seq = words[_CTRL_COMMAND_SEQ]
@@ -557,6 +508,11 @@ def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
         reals.release()
         del inbound, outbound, words, reals, buf
         segment.close()
+        if orphaned:
+            try:
+                segment.unlink()
+            except FileNotFoundError:
+                pass
 
 
 class _ShmShard:
@@ -745,16 +701,12 @@ class SharedMemoryTransport(ShardTransport):
 def create_transport(kind: str, topology: FleetTopology,
                      plans: Sequence[ShardPlan]) -> ShardTransport:
     """Build a concrete transport; ``kind`` must already be resolved
-    (``local`` / ``executor`` / ``shm`` -- see
-    :meth:`FleetRunConfig.resolve_transport`)."""
+    (``local`` / ``shm`` -- see :meth:`FleetRunConfig.resolve_transport`)."""
     if kind == "local":
         return InProcessTransport(topology, plans)
-    if kind == "executor":
-        return ExecutorTransport(topology, plans)
     if kind == "shm":
         return SharedMemoryTransport(topology, plans)
-    raise ValueError(f"unknown transport {kind!r} "
-                     f"(choose from local, executor, shm)")
+    raise ValueError(f"unknown transport {kind!r} (choose from local, shm)")
 
 
 def coupling_components(topology: FleetTopology,

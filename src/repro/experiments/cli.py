@@ -572,11 +572,11 @@ def _add_fleet_flags(parser: argparse.ArgumentParser) -> None:
                              "self-contained shards (default 16; 1 "
                              "restores per-epoch barriers)")
     parser.add_argument("--transport", default=None, choices=TRANSPORTS,
-                        help="shard transport: shm (shared-memory rings), "
-                             "executor (one process pool per shard), local "
-                             "(in-process), or auto (default: local for one "
-                             "shard, else shm when more than one CPU is "
-                             "usable)")
+                        help="shard transport: shm (shared-memory rings "
+                             "to one worker process per shard), local "
+                             "(in-process), or auto (default: shm for more "
+                             "than one shard on more than one usable CPU, "
+                             "else local)")
 
 
 def build_parser() -> argparse.ArgumentParser:

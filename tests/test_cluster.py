@@ -103,6 +103,24 @@ def test_partition_covers_every_device_exactly_once():
         assert sorted(indices) == list(range(topology.total_devices))
         assert len(plans) == min(shards, topology.total_devices)
         assert all(plan.device_indices for plan in plans)
+    # A macro group is one indivisible atom: 1,000 aggregated devices at
+    # three requested shards yield one plan, never two empty ones, so
+    # ``auto`` runs that single shard in-process.
+    macro = fleet(
+        "one-macro-atom",
+        groups=[group("store", "ESSD-2", 1000, mode="macro")],
+        tenants=[tenant("oltp", "store", pattern="randwrite", io_size=4096,
+                        queue_depth=1, io_count=20)],
+        seed=3,
+    )
+    plans = partition_topology(macro, 3)
+    assert [plan.shard_id for plan in plans] == [0]
+    assert all(plan.device_indices for plan in plans)
+    assert len(plans[0].device_indices) == macro.total_devices
+    payload = run_fleet(macro, FleetRunConfig(shards=3))
+    assert (payload["runtime"]["shards"], payload["runtime"]["transport"]) \
+        == (1, "local")
+    assert strip_runtime(payload) == strip_runtime(run_fleet_serial(macro))
 
 
 def test_partition_keeps_replication_edges_intra_shard_when_possible():
@@ -152,7 +170,7 @@ def test_process_mode_matches_in_process():
     processed = run_fleet(topology, FleetRunConfig(shards=2))
     assert json.dumps(strip_runtime(processed), sort_keys=True) == \
         json.dumps(strip_runtime(serial), sort_keys=True)
-    assert processed["runtime"]["transport"] in ("executor", "shm")
+    assert processed["runtime"]["transport"] in ("local", "shm")
     assert processed["runtime"]["shards"] == 2
 
 

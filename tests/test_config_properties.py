@@ -125,7 +125,7 @@ def run_configs(draw) -> FleetRunConfig:
         fields["run_ahead"] = draw(st.integers(min_value=1, max_value=64))
     if draw(st.booleans()):
         fields["transport"] = draw(st.sampled_from(
-            ["auto", "local", "executor", "shm"]))
+            ["auto", "local", "shm"]))
     return FleetRunConfig(**fields)
 
 

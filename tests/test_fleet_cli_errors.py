@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cluster import fleet, group, tenant
+from repro.config import ConfigError, scenario_for_document
 from repro.experiments.cli import main as cli_main
 from repro.experiments.scenarios import register, scenario
 from repro.experiments.sweep import SweepResult, SweepRunner, diff_results
@@ -148,21 +149,61 @@ def test_execution_flags_override_run_block_the_same_way_on_every_verb(
     ``run`` and ``fleet``, and the field no flag sets (``shards``) keeps
     the document's value (regression: ``run`` let the document win)."""
     document = error_fleet().to_document()
-    document["run"] = {"transport": "local", "shards": 2}
+    document["run"] = {"transport": "shm", "shards": 2}
     path = tmp_path / "precedence.json"
     path.write_text(json.dumps(document))
 
     sweep_out = tmp_path / "sweep.json"
     assert cli_main(["run", str(path), "--serial", "--no-cache",
-                     "--transport", "executor", "--out", str(sweep_out)]) == 0
+                     "--transport", "local", "--out", str(sweep_out)]) == 0
     cell = SweepResult.load(sweep_out).outcomes[0].cell
-    assert dict(cell.fleet_run) == {"shards": 2, "transport": "executor"}
+    assert dict(cell.fleet_run) == {"shards": 2, "transport": "local"}
 
     fleet_out = tmp_path / "fleet.json"
     assert cli_main(["fleet", str(path), "--no-cache", "--transport",
-                     "executor", "--out", str(fleet_out)]) == 0
+                     "local", "--out", str(fleet_out)]) == 0
     runtime = json.loads(fleet_out.read_text())[0]["result"]["runtime"]
-    assert (runtime["shards"], runtime["transport"]) == (2, "executor")
+    assert (runtime["shards"], runtime["transport"]) == (2, "local")
+    capsys.readouterr()
+
+
+#: The process-pool transport that older sweeps may still name in their
+#: saved ``fleet_run``; it no longer exists.
+RETIRED_TRANSPORT = 'executor'
+
+
+def test_retired_executor_transport_is_rejected_but_old_sweeps_still_load(
+        error_scenario, tmp_path, capsys):
+    """``executor`` is no longer a transport: documents and flags naming
+    it fail cleanly, while sweeps saved with it (``fleet_run`` is an
+    execution detail outside the cache key) stay loadable and diffable."""
+    document = error_fleet().to_document()
+    document["run"] = {"transport": RETIRED_TRANSPORT}
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_for_document(document)
+    assert excinfo.value.path == "document.run.transport"
+    assert "expected one of auto, local, shm" in str(excinfo.value)
+
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["fleet", "cli-errors-under-test", "--transport",
+                  RETIRED_TRANSPORT])
+    assert exited.value.code == 2
+    assert f"invalid choice: {RETIRED_TRANSPORT!r}" in \
+        capsys.readouterr().err
+
+    current = tmp_path / "current.json"
+    assert cli_main(["run", "cli-errors-under-test", "--serial",
+                     "--no-cache", "--out", str(current)]) == 0
+    saved = json.loads(current.read_text())
+    for outcome in saved["cells"]:
+        outcome["cell"]["fleet_run"] = [["shards", 2],
+                                        ["transport", RETIRED_TRANSPORT]]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(saved))
+    cell = SweepResult.load(old).outcomes[0].cell
+    assert dict(cell.fleet_run)["transport"] == RETIRED_TRANSPORT
+    assert cli_main(["diff", str(old), str(current),
+                     "--fail-on-change"]) == 0
     capsys.readouterr()
 
 

@@ -8,16 +8,21 @@ Three layers of coverage:
   send order regardless of ring size.
 * ``SharedMemoryTransport`` process machinery: forced overflow spills
   (one-slot rings), crashed-worker detection, and clean teardown.
-* The cross-transport contract: serial, executor, and shared-memory
-  runs of the same topology -- including faults, spares, and macro
-  groups -- must produce bit-identical metrics payloads.
+* The cross-transport contract: serial, in-process sharded, and
+  shared-memory runs of the same topology -- including faults, spares,
+  and macro groups -- must produce bit-identical metrics payloads.
 """
 
+import contextlib
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -295,20 +300,22 @@ def test_run_config_transport_resolution(monkeypatch):
     assert FleetRunConfig(shards=4, transport="shm") \
         .resolve_transport() == "shm"
     resolved = FleetRunConfig(shards=4).resolve_transport()
-    assert resolved == ("shm" if usable_cpus() > 1 else "executor")
+    assert resolved == ("shm" if usable_cpus() > 1 else "local")
     # ``auto`` counts the CPUs the process may use, not the host's cores:
-    # pinned to one core (taskset -c 0) it picks executor.
+    # pinned to one core (taskset -c 0) it stays in-process.
     if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(transport_module.os, "sched_getaffinity",
-                            lambda pid: {0})
-        assert usable_cpus() == 1
-        assert FleetRunConfig(shards=4).resolve_transport() == "executor"
+        for cpus, expected in (({0, 1}, "shm"), ({0}, "local")):
+            monkeypatch.setattr(transport_module.os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus)
+            assert usable_cpus() == len(cpus)
+            assert FleetRunConfig(shards=1).resolve_transport() == "local"
+            assert FleetRunConfig(shards=4).resolve_transport() == expected
 
 
 def test_run_config_pairs_roundtrip():
-    config = FleetRunConfig(shards=3, transport="executor", run_ahead=4)
+    config = FleetRunConfig(shards=3, transport="shm", run_ahead=4)
     pairs = config.to_pairs()
-    assert dict(pairs) == {"shards": 3, "transport": "executor",
+    assert dict(pairs) == {"shards": 3, "transport": "shm",
                            "run_ahead": 4}
     assert FleetRunConfig.from_pairs(pairs) == config
     assert FleetRunConfig().to_pairs() == ()
@@ -378,7 +385,7 @@ def small_spin(monkeypatch):
     build_shm_with(monkeypatch, spin_budget=_TEST_SPIN)
 
 
-@pytest.mark.parametrize("transport", ["local", "executor", "shm"])
+@pytest.mark.parametrize("transport", ["local", "shm"])
 @pytest.mark.parametrize("shards", [2, 3])
 def test_transports_are_bit_identical_to_serial(transport, shards,
                                                 small_spin):
@@ -389,7 +396,7 @@ def test_transports_are_bit_identical_to_serial(transport, shards,
     assert strip_runtime(payload) == reference
 
 
-@pytest.mark.parametrize("transport", ["executor", "shm"])
+@pytest.mark.parametrize("transport", ["local", "shm"])
 def test_faulted_fleet_identical_across_transports(transport, small_spin):
     reference = strip_runtime(run_fleet_serial(faulted_fleet()))
     payload = run_fleet(faulted_fleet(),
@@ -449,7 +456,71 @@ def test_shm_crashed_worker_raises_cleanly():
         transport.close()
 
 
-def test_shm_worker_init_error_raises_cleanly():
+#: A coordinator that starts two shm workers, reports their pids and
+#: segment names once every worker is ready, then idles until killed.
+_ORPHANING_COORDINATOR = """
+import json, sys, time
+from repro.cluster import FleetTopology, SharedMemoryTransport
+from repro.cluster import partition_topology
+topology = FleetTopology.from_json(sys.argv[1])
+transport = SharedMemoryTransport(topology, partition_topology(topology, 2))
+print(json.dumps({"pids": [s.process.pid for s in transport._shards],
+                  "segments": [s.segment.name for s in transport._shards]}),
+      flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or
+                    not os.path.isdir("/dev/shm"),
+                    reason="needs /proc and POSIX shared memory in /dev/shm")
+def test_shm_workers_exit_when_the_coordinator_is_sigkilled():
+    """A SIGKILLed coordinator cannot stop its workers; they must notice
+    the lost parent themselves, exit, and unlink their segments."""
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(repro.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
+    coordinator = subprocess.Popen(
+        [sys.executable, "-c", _ORPHANING_COORDINATOR,
+         mini_fleet().canonical()],
+        stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        ready = json.loads(coordinator.stdout.readline())
+    finally:
+        coordinator.kill()
+        coordinator.wait()
+        coordinator.stdout.close()
+
+    def leftovers():
+        return ([pid for pid in ready["pids"] if _running(pid)] +
+                [name for name in ready["segments"]
+                 if os.path.exists(f"/dev/shm/{name}")])
+
+    try:
+        deadline = time.monotonic() + 5.0
+        while leftovers() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert leftovers() == []
+    finally:
+        for pid in ready["pids"]:
+            if _running(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def test_shm_worker_startup_error_raises_cleanly():
     topology = mini_fleet()
     plans = partition_topology(topology, 2)
     bad = plans[1].to_payload()
