@@ -181,13 +181,14 @@ The coordinator synchronizes shards on the ``epoch_us`` barrier, but it
 only needs a barrier *per epoch* inside a **coupling component**: the
 union-find closure of shards joined by a cross-shard replication edge or
 a fault group/spare pair.  The device-affinity partitioner keeps edge
-clusters together whenever the shard count allows; each multi-shard
-component locksteps its members per epoch while every singleton
-component self-delivers its own replica traffic and receives a
-**run-ahead window** of ``run_ahead`` epochs (default 16) per task
-instead of one -- both gears run concurrently in the same coordinator
-loop (``runtime["components"]`` / ``runtime["lockstep_shards"]`` report
-the split).  On long trace-driven fleets this cuts coordination tasks
+clusters together whenever the shard count allows.  Every shard runs
+the same barrier-to-barrier stepper, holding each replica message (its
+own or one the coordinator forwarded) until its delivery barrier; only
+the window sizes differ.  Each multi-shard component gets one-epoch
+windows, while the singleton components share **run-ahead windows** of
+``run_ahead`` epochs (default 16) per task instead of one -- all in the
+same coordinator loop (``runtime["components"]`` /
+``runtime["lockstep_shards"]`` report the split).  On long trace-driven fleets this cuts coordination tasks
 per simulated second by roughly the window size (see
 ``BENCH_fleet.json``'s ``coordination`` section); metrics stay
 bit-identical for every ``run_ahead`` value, ``run_ahead=1`` restores the

@@ -8,36 +8,34 @@ sit empty is a shard's device list split at device granularity.  A shard
 that still owns nothing (a macro group is one unsplittable atom) is
 dropped, so a run may end up with fewer shards than requested.
 
-Execution (:class:`FleetCoordinator`) is a conservative time-window loop
-over **coupling components** (:func:`~repro.cluster.transport.coupling_components`):
-shard pairs joined by a cross-shard replication edge (or a fault
-group/spare pair) may exchange messages and must synchronize; shards no
-split edge touches can never see cross-shard traffic.  Each component
-picks its own gear:
+Execution (:class:`FleetCoordinator`) is the conservative synchronisation
+of Chandy & Misra (1979) over **coupling components**
+(:func:`~repro.cluster.transport.coupling_components`): shard pairs joined
+by a cross-shard replication edge (or a fault group/spare pair) may
+exchange messages and must synchronise; shards no split edge touches can
+never see cross-shard traffic.  Every shard runs the same stepper
+(:meth:`~repro.cluster.shard.ShardWorker.advance`): it steps barrier to
+barrier inside a granted window, holding each message -- its own or one
+the coordinator forwarded -- until its ``delivery_epoch`` barrier and
+injecting every barrier's batch sorted by the layout-independent key
+``(delivery_us, origin_index, origin_seq)``.  The coordinator keeps one
+window cursor per group of shards, and the lookahead is the window width:
 
-* **Batched run-ahead** -- a singleton component (every edge/fault that
-  touches the shard is intra-shard -- the common case: device-affinity
-  placement glues edge clusters together) is granted a window of
-  ``run_ahead`` epochs per task.  The shard steps barrier-to-barrier
-  internally, self-delivering its own replica messages (see
-  :meth:`~repro.cluster.shard.ShardWorker.advance`), and the coordinator
-  only rendezvouses once per window: coordination drops from one task per
-  shard per busy epoch to one per shard per ``run_ahead`` window.
-* **Lockstep** -- shards inside a multi-shard component advance to the
-  same barrier per task; emitted messages are routed to the shard owning
-  the target device and handed over exactly at their ``delivery_epoch``
-  barrier, sorted by the layout-independent key
-  ``(delivery_us, origin_index, origin_seq)``.  Other components advance
-  concurrently in the same coordinator round -- a split edge only
-  lockstops the shards it actually couples.
+* all singleton components (every edge/fault that touches the shard is
+  intra-shard -- the common case: device-affinity placement glues edge
+  clusters together) share one cursor with ``run_ahead``-epoch windows,
+  so coordination drops from one task per shard per busy epoch to one
+  per shard per window;
+* each multi-shard component has its own cursor with one-epoch windows,
+  so a split edge only holds back the shards it actually couples;
+* a fleet with no edges and no faults gets one unbounded window.
 
-In both gears a message is injected when its shard's clock sits exactly on
-the delivery barrier.  Because seeds, replica delivery times, and
-injection order all derive from logical identities (never from the shard
-layout, the granted windows, or the transport), ``shards=1`` is
-bit-identical to any ``shards=N`` run -- and ``shards=1`` in-process *is*
-the serial path.  Topologies without replication edges skip the barrier
-loop entirely: each shard drains to completion in a single advance.
+The coordinator only routes each emitted message to the shard owning its
+target device, with that shard's next grant.  Because seeds, replica
+delivery times, and injection order all derive from logical identities
+(never from the shard layout, the granted windows, or the transport),
+``shards=1`` is bit-identical to any ``shards=N`` run -- and ``shards=1``
+in-process *is* the serial path.
 
 How grants and responses physically move between coordinator and shards
 is the :class:`~repro.cluster.transport.ShardTransport` contract
@@ -53,7 +51,7 @@ import time
 from typing import Any, Optional
 
 from repro.cluster.metrics import merge_shard_payloads
-from repro.cluster.shard import ReplicaMessage, ShardPlan, inbox_order
+from repro.cluster.shard import ReplicaMessage, ShardPlan
 from repro.cluster.topology import FleetTopology
 from repro.cluster.transport import (
     DEFAULT_RUN_AHEAD,
@@ -199,18 +197,9 @@ class FleetCoordinator:
         lockstep = [component for component in components
                     if len(component) > 1]
         batched = bool(topology.edges or topology.faults) and not lockstep
-        epochs = 0
-        rounds = 0
-        tasks = 0
         try:
-            if not topology.edges and not topology.faults:
-                # No cross-device dependencies: each shard drains in one go.
-                transport.advance_all(None, [[] for _ in plans])
-                rounds = 1
-                tasks = len(plans)
-            else:
-                epochs, rounds, tasks = self._run_components(
-                    topology, plans, owner, transport, components)
+            epochs, rounds, tasks = self._run_windows(
+                topology, len(plans), owner, transport, components)
             payloads = transport.collect_all()
             events = transport.scheduled_events()
         finally:
@@ -236,158 +225,68 @@ class FleetCoordinator:
         }
         return result
 
-    def _run_components(self, topology: FleetTopology, plans, owner,
-                        transport, components) -> tuple[int, int, int]:
-        """Drive every coupling component through its own gear in a
-        single coordinator loop.
+    def _run_windows(self, topology: FleetTopology, shards: int, owner,
+                     transport, components) -> tuple[int, int, int]:
+        """Grant windows until every shard is drained; return ``(epochs,
+        rounds, tasks)``.
 
-        Singleton components get batched ``run_ahead`` windows
-        (self-delivering their intra-shard traffic and skipping idle
-        epochs internally; a shard reporting ``peek == inf`` is drained
-        for good -- nothing can revive it without cross-shard traffic).
-        Multi-shard components run the conservative epoch-barrier
-        lockstep among *their members only*: collected messages wait at
-        the coordinator until the barrier matching their
-        ``delivery_epoch``; each member then receives them with its clock
-        sitting exactly on that barrier, sorted by the
-        layout-independent ``inbox_order`` key.  Every round posts all
-        grants before waiting on any, so independent components (and the
-        shards inside one component) advance concurrently on process
-        transports.  Returns ``(epochs, rounds, tasks)``."""
+        A window ends at ``max(cursor, floor(earliest / epoch_us)) +
+        width``, where ``earliest`` is the minimum of the members' peeks
+        and of the delivery times of messages routed to them but not yet
+        posted: idle epochs are skipped, and nothing emitted inside the
+        window can be due before its closing barrier.  Singletons are
+        granted only while live (``peek < inf``; nothing can revive one);
+        every member of a coupled component is granted each round, so
+        routed messages always ride the next round.  Every round posts
+        all grants before waiting on any, so shards advance concurrently
+        on process transports."""
         epoch_us = topology.epoch_us
-        run_ahead = self.config.run_ahead
-        overrun = RuntimeError(
-            f"fleet {topology.name!r} exceeded {MAX_EPOCHS} "
-            f"epochs (epoch_us={epoch_us}); raise fleet.epoch_us")
-        singles = sorted(component[0] for component in components
-                         if len(component) == 1)
-        single_set = set(singles)
-        groups = [_LockstepGroup(component) for component in components
-                  if len(component) > 1]
-        group_of = {sid: grp for grp in groups for sid in grp.members}
-        peeks = [0.0] * len(plans)
-        executed = [0] * len(plans)
-        #: Shared run-ahead cursor across the singleton shards (kept
-        #: global, not per-shard, so coordination-task counts match the
-        #: pre-transport batched gear exactly).
-        index = 0
+        bounded = bool(topology.edges or topology.faults)
+        singles = [component[0] for component in components
+                   if len(component) == 1]
+        #: (members, window width in epochs, coupled), one cursor each.
+        windows = [(singles, self.config.run_ahead, False)] if singles else []
+        windows.extend((component, 1, True) for component in components
+                       if len(component) > 1)
+        cursors = [0] * len(windows)
+        peeks = [0.0] * shards
+        executed = [0] * shards
+        routed: list[list[ReplicaMessage]] = [[] for _ in range(shards)]
         rounds = 0
         tasks = 0
         while True:
-            #: sid -> (until_us, sorted inbox, self_deliver)
-            grants: dict[int, tuple] = {}
-            active = [sid for sid in singles if peeks[sid] != math.inf]
-            if active:
-                # Idle skip across windows: start the next grant at the
-                # epoch holding the earliest pending event among the
-                # self-contained shards.
-                start = max(index,
-                            math.floor(min(peeks[sid] for sid in active)
-                                       / epoch_us))
-                index = start + run_ahead
-                for sid in active:
-                    grants[sid] = (index * epoch_us, [], True)
-            for grp in groups:
-                target = grp.next_barrier(peeks, epoch_us)
-                if target is None:
+            grants: dict[int, Optional[float]] = {}
+            for slot, (members, width, coupled) in enumerate(windows):
+                earliest = min([peeks[sid] for sid in members]
+                               + [message.delivery_us for sid in members
+                                  for message in routed[sid]])
+                if earliest == math.inf:
                     continue
-                if grp.rounds > MAX_EPOCHS:
-                    raise overrun
-                for sid, inbox in target.items():
-                    grants[sid] = (grp.position * epoch_us,
-                                   sorted(inbox, key=inbox_order), False)
+                until_us = None
+                if bounded:
+                    cursors[slot] = width + max(
+                        cursors[slot], math.floor(earliest / epoch_us))
+                    until_us = cursors[slot] * epoch_us
+                for sid in members:
+                    if coupled or peeks[sid] != math.inf:
+                        grants[sid] = until_us
             if not grants:
-                return (max([executed[sid] for sid in singles]
-                            + [grp.rounds for grp in groups],
-                            default=0), rounds, tasks)
+                return max(executed), rounds, tasks
             rounds += 1
             tasks += len(grants)
             for sid in sorted(grants):
-                until_us, inbox, self_deliver = grants[sid]
-                transport.post(sid, until_us, inbox, self_deliver)
+                transport.post(sid, grants[sid], routed[sid])
+                routed[sid] = []
             for sid in sorted(grants):
                 outbound, peek, ran = transport.wait(sid)
                 peeks[sid] = peek
                 executed[sid] += ran
-                if sid in single_set:
-                    if outbound:  # pragma: no cover - singleton guarantee
-                        raise RuntimeError(
-                            f"self-contained shard {sid} emitted a "
-                            "cross-shard replica message")
-                else:
-                    grp = group_of[sid]
-                    for message in outbound:
-                        # Affinity + coupling guarantee the target stays
-                        # inside this component.
-                        grp.pending[owner[message.target_index]].append(
-                            message)
-            if active and max(executed[sid] for sid in singles) \
-                    > MAX_EPOCHS:
-                raise overrun
-
-
-class _LockstepGroup:
-    """Barrier state for one multi-shard coupling component."""
-
-    def __init__(self, members: list[int]):
-        self.members = list(members)
-        self.pending: dict[int, list[ReplicaMessage]] = \
-            {sid: [] for sid in self.members}
-        #: Barrier position as an *integer* epoch index.  The barrier
-        #: time is always computed as ``position * epoch_us`` -- the
-        #: exact same float-multiplication grid the replication hook
-        #: quantizes delivery times onto.  Accumulating
-        #: ``barrier += epoch_us`` instead would drift off that grid for
-        #: epochs not exactly representable in binary, leaving a
-        #: collected message's delivery in the past.
-        self.position = 0
-        self.rounds = 0
-        self.done = False
-
-    def next_barrier(self, peeks: list[float], epoch_us: float,
-                     ) -> Optional[dict[int, list[ReplicaMessage]]]:
-        """Advance the component's barrier and return the per-member
-        handoff (messages due exactly at the *previous* barrier, where
-        every member clock now sits), or ``None`` once the component is
-        fully drained."""
-        if self.done:
-            return None
-        handoff: dict[int, list[ReplicaMessage]] = \
-            {sid: [] for sid in self.members}
-        future = math.inf
-        due = False
-        for sid in self.members:
-            keep = []
-            for message in self.pending[sid]:
-                if message.delivery_epoch == self.position:
-                    handoff[sid].append(message)
-                    due = True
-                else:
-                    keep.append(message)
-                    if message.delivery_epoch < future:
-                        future = message.delivery_epoch
-            self.pending[sid] = keep
-        targets = []
-        if due:
-            # Deliveries inject at the current barrier; their writes
-            # start here, so the next window spans one epoch.
-            targets.append(self.position + 1)
-        if future != math.inf:
-            targets.append(int(future))
-        min_peek = min(peeks[sid] for sid in self.members)
-        if min_peek != math.inf:
-            # Skip whole idle epochs: jump straight to the barrier just
-            # past the earliest pending event.  The advance window still
-            # spans at most one epoch of *activity*, so every emitted
-            # message remains deliverable at a future barrier.
-            targets.append(max(self.position + 1,
-                               math.floor(min_peek / epoch_us) + 1))
-        if not targets:
-            self.done = True
-            return None
-        self.position = min(targets)
-        self.rounds += 1
-        return handoff
+                for message in outbound:
+                    routed[owner[message.target_index]].append(message)
+            if max(executed) > MAX_EPOCHS:
+                raise RuntimeError(
+                    f"fleet {topology.name!r} exceeded {MAX_EPOCHS} "
+                    f"epochs (epoch_us={epoch_us}); raise fleet.epoch_us")
 
 
 def run_fleet(topology: FleetTopology,

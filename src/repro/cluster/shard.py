@@ -6,30 +6,31 @@ A :class:`ShardWorker` instantiates the devices named by its
 from the tenant/device identity so the shard layout cannot change any RNG
 stream), and then advances in **bounded time epochs**:
 
-* :meth:`ShardWorker.advance` first injects the inbound replica messages
-  handed over by the coordinator (each exactly at its delivery barrier),
-  then runs its simulator up to the epoch barrier, and returns the replica
-  messages its own tenants emitted during the window.
+* :meth:`ShardWorker.advance` puts the replica messages forwarded by the
+  coordinator into the shard's hold queue, next to its own intra-shard
+  messages, then steps its simulator barrier to barrier up to the granted
+  window's closing barrier, and returns the messages its tenants emitted
+  for devices other shards own.
 * Replica deliveries are quantized to the *next* ``epoch_us`` boundary
   after the originating write completes (``delivery_epoch`` carries the
   boundary as an exact integer index), so a message emitted inside epoch
   ``k`` is always deliverable at or after the barrier ``(k+1) * epoch_us``
-  where the coordinator collects it -- the conservative-synchronization
-  invariant that lets shards run an epoch in parallel without ever sending
-  a message into another shard's past.
-* Every message is *injected* exactly when its shard's clock sits on the
-  delivery barrier, sorted by the layout-independent
-  :func:`inbox_order` key.  Injection timing therefore never depends on
-  which windows the coordinator happened to grant, which is what lets a
-  **self-delivering** shard (``advance(..., self_deliver=True)``) consume
-  its own intra-shard replica traffic across a multi-epoch run-ahead
-  window and still stay bit-identical to the coordinator-mediated path.
+  -- the conservative-synchronization invariant that lets shards run an
+  epoch in parallel without ever sending a message into another shard's
+  past.
+* Every held message is *injected* exactly when its shard's clock sits on
+  the delivery barrier, sorted by the layout-independent
+  :func:`inbox_order` key.  Work due on a window's closing barrier waits
+  for the next :meth:`~ShardWorker.advance`, so a peer's messages for that
+  barrier join the same sorted batch.  Injection timing therefore never
+  depends on which windows the coordinator happened to grant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, NamedTuple, Optional
 
 from repro.cluster.faults import (
@@ -162,13 +163,20 @@ class ShardWorker:
         self._placement: dict[int, tuple[str, int]] = {}
         self._outbound: list[ReplicaMessage] = []
         self._origin_seq: dict[int, int] = {}
-        #: Intra-shard replica messages waiting for their delivery barrier
-        #: (self-delivery mode); persists across advance() calls.
-        self._held: list[ReplicaMessage] = []
-        #: The epoch barrier index this shard's clock sits on (self-delivery
-        #: mode runs the simulator barrier-to-barrier, so ``sim.now ==
+        #: Messages for owned devices (own emissions and coordinator
+        #: forwards alike) waiting for their delivery barrier, keyed by
+        #: ``delivery_epoch``; persists across advance() calls.
+        self._held: dict[int, list[ReplicaMessage]] = {}
+        #: The epoch barrier index this shard's clock sits on (the shard
+        #: runs its simulator barrier to barrier, so ``sim.now ==
         #: _position * epoch_us`` between windows).
         self._position = 0
+        #: Whether some replication edge or fault group/spare pair spans
+        #: this shard and another: such a shard shares one-epoch windows
+        #: with its peers and ends each one on the closing barrier.
+        self._coupled = any(owned.intersection(span)
+                            and not owned.issuperset(span)
+                            for span in topology.coupling_spans())
         #: target device global index (as str) -> inbound replica stats.
         #: Keyed per *device*, not per group: a split target group would
         #: otherwise pool samples in shard order and break the bit-identical
@@ -235,33 +243,28 @@ class ShardWorker:
         indices = self.topology.group_indices(event.group)
         return indices if event.device is None else [indices[event.device]]
 
-    def _macro_emit(self, origin_index: int):
-        """Emission callback a macro group uses to send replica/rebuild
-        messages: the same per-origin sequence counter and barrier framing
-        the discrete replication hook uses."""
-        epoch_us = self.topology.epoch_us
+    def _emit(self, origin: int, target: int, offset: int, size: int,
+              kind: str, delivery_epoch: int) -> None:
+        """Queue one replica/rebuild message from device ``origin``: the
+        single place the per-origin sequence counter advances, for the
+        discrete replication hook, rebuild storms and macro groups alike.
+        ``advance`` drains the queue at every barrier."""
+        seq = self._origin_seq.get(origin, 0)
+        self._origin_seq[origin] = seq + 1
+        self._outbound.append(ReplicaMessage(
+            delivery_us=delivery_epoch * self.topology.epoch_us,
+            target_index=target, offset=offset, size=size,
+            origin_index=origin, origin_seq=seq,
+            delivery_epoch=delivery_epoch, kind=kind))
 
-        def emit(target: int, offset: int, size: int, kind: str,
-                 delivery_epoch: int) -> None:
-            seq = self._origin_seq.get(origin_index, 0)
-            self._origin_seq[origin_index] = seq + 1
-            self._outbound.append(ReplicaMessage(
-                delivery_us=delivery_epoch * epoch_us, target_index=target,
-                offset=offset, size=size, origin_index=origin_index,
-                origin_seq=seq, delivery_epoch=delivery_epoch, kind=kind))
-        return emit
-
-    def _advance_macro(self, target_epoch: Optional[int]) -> None:
-        """Step every resident macro group to ``target_epoch`` (``None`` =
-        drain to quiescence), in group-declaration order."""
+    def _advance_macro(self, target_epoch: int) -> None:
+        """Step every resident macro group to ``target_epoch``, in
+        group-declaration order."""
         for name in sorted(self._macro,
                            key=lambda n: self._macro[n].first_index):
             aggregate = self._macro[name]
-            emit = self._macro_emit(aggregate.first_index)
-            if target_epoch is None:
-                aggregate.drain(emit)
-            else:
-                aggregate.advance_to(target_epoch, emit)
+            aggregate.advance_to(target_epoch,
+                                 partial(self._emit, aggregate.first_index))
 
     # -- workload binding --------------------------------------------------
     def _bind_tenant(self, tenant: Tenant, index: int) -> None:
@@ -341,27 +344,17 @@ class ShardWorker:
         def hook(request, _now):
             if request.kind is not IOKind.WRITE or request.shed:
                 return  # shed writes never landed, so they never mirror
-            now = self.sim.now
-            epoch = math.floor(now / epoch_us) + 1
-            delivery = epoch * epoch_us
+            epoch = math.floor(self.sim.now / epoch_us) + 1
             for indices, factor in routes:
                 for replica in range(factor):
                     target = indices[(local_index + replica) % len(indices)]
-                    seq = self._origin_seq.get(origin_index, 0)
-                    self._origin_seq[origin_index] = seq + 1
-                    # Append through self: advance() drains this buffer at
-                    # every barrier, and a reference captured at bind time
-                    # would go stale.
-                    self._outbound.append(ReplicaMessage(
-                        delivery_us=delivery, target_index=target,
-                        offset=request.offset, size=request.size,
-                        origin_index=origin_index, origin_seq=seq,
-                        delivery_epoch=epoch))
+                    self._emit(origin_index, target, request.offset,
+                               request.size, "replica", epoch)
         return hook
 
     # -- epoch stepping ----------------------------------------------------
     def deliver(self, messages: list[ReplicaMessage]) -> None:
-        """Schedule inbound replica writes (pre-sorted by the coordinator).
+        """Schedule inbound replica writes (sorted by :func:`inbox_order`).
 
         Messages targeting a macro-group index never touch the simulator:
         the aggregate absorbs them into the window after their delivery
@@ -399,45 +392,30 @@ class ShardWorker:
 
     def advance(self, until_us: Optional[float],
                 inbound: Optional[list[ReplicaMessage]] = None,
-                self_deliver: bool = False,
                 ) -> tuple[list[ReplicaMessage], float, int]:
-        """Deliver ``inbound``, run up to ``until_us``; return
-        ``(outbound, peek, epochs)``.
+        """Hold ``inbound``, step barrier to barrier up to ``until_us``;
+        return ``(outbound, peek, epochs)``.
 
-        ``until_us=None`` drains the schedule completely (the no-edges fast
-        path).  ``peek`` is the time of the next still-pending event or
-        held delivery (``inf`` when the shard is idle) -- the coordinator
-        uses the fleet minimum to skip over empty epochs.
+        At each barrier the shard applies due fault flips, injects the
+        held messages due there (sorted by :func:`inbox_order`), and jumps
+        to the next barrier that has work: a held delivery, a pending
+        event, a macro window, or a fault flip.  It never spans more than
+        one epoch of activity, so every emission stays deliverable at a
+        future barrier.  The closing barrier's own work waits for the
+        next call, where a peer's messages for it join the same batch.  A
+        coupled shard (see ``_coupled``) steps to the closing barrier even
+        when idle.
 
-        With ``self_deliver=True`` the shard advances **barrier to
-        barrier** inside the granted window, injecting its own intra-shard
-        replica messages exactly at their delivery barriers (sorted by
-        :func:`inbox_order`) and skipping idle epochs, so a self-contained
-        shard needs one coordinator task per run-ahead window instead of
-        one per busy epoch.  Messages for foreign devices are returned
-        (the coordinator only grants run-ahead windows to shards that can
-        never emit one).  ``epochs`` counts the barrier windows executed.
+        ``until_us=None`` runs until nothing is left (the fleet has no
+        edges and no faults).  ``outbound`` holds the messages for devices
+        other shards own; ``peek`` is the time of the next pending event or
+        held delivery (``inf`` when the shard is idle); ``epochs`` counts
+        the barriers stepped.
         """
-        if self._flips:
-            # Flips whose barrier the clock already sits on (e.g. the very
-            # first advance with a fault at t=0, or a lockstep barrier that
-            # ended the previous window) apply *before* this barrier's
-            # deliveries -- the same flip-then-deliver order the
-            # self-delivering loop uses, so both gears agree.
-            self._apply_due_faults()
-        if inbound:
-            self.deliver(inbound)
-        if not self_deliver:
-            self._run_to(until_us)
-            if self._macro:
-                target = None if until_us is None else \
-                    int(round(until_us / self.topology.epoch_us))
-                self._advance_macro(target)
-            outbound = list(self._outbound)
-            self._outbound.clear()
-            return outbound, self._peek(), (0 if until_us is None else 1)
-
         epoch_us = self.topology.epoch_us
+        limit = None if until_us is None else round(until_us / epoch_us)
+        for message in inbound or ():
+            self._held.setdefault(message.delivery_epoch, []).append(message)
         executed = 0
         foreign: list[ReplicaMessage] = []
         while True:
@@ -446,19 +424,14 @@ class ShardWorker:
                 # route the chunks before computing this barrier's
                 # deliveries so none strand in the outbound buffer.
                 self._route_outbound(foreign)
-            due = [message for message in self._held
-                   if message.delivery_epoch == self._position]
-            if due:
-                self._held = [message for message in self._held
-                              if message.delivery_epoch != self._position]
-                due.sort(key=inbox_order)
-                self.deliver(due)
+            due = self._held.pop(self._position, None)
             targets = []
             if due:
+                due.sort(key=inbox_order)
+                self.deliver(due)
                 targets.append(self._position + 1)
             if self._held:
-                targets.append(min(message.delivery_epoch
-                                   for message in self._held))
+                targets.append(min(self._held))
             peek = self.sim.peek()
             if peek != math.inf:
                 # Jump straight past idle epochs, but never span more than
@@ -478,50 +451,36 @@ class ShardWorker:
                 # Stop exactly on the next fault barrier: flips apply with
                 # the clock sitting on it, never mid-window.
                 targets.append(self._flips[self._flip_index].epoch)
+            if self._coupled and limit is not None:
+                targets.append(limit)
             if not targets:
                 break
             next_index = min(targets)
-            barrier = next_index * epoch_us
-            if until_us is not None and barrier > until_us:
-                break  # run-ahead window exhausted; resume next task
-            self.sim.run(until=barrier)
+            if limit is not None and next_index > limit:
+                break  # window exhausted; resume next task
+            self.sim.run(until=next_index * epoch_us)
             self._position = next_index
             executed += 1
             self._advance_macro(next_index)
             self._route_outbound(foreign)
+            if next_index == limit:
+                break
         peek = self._peek()
-        for message in self._held:
-            peek = min(peek, message.delivery_us)
+        if self._held:
+            peek = min(peek, min(self._held) * epoch_us)
         return foreign, peek, executed
 
     def _route_outbound(self, foreign: list[ReplicaMessage]) -> None:
-        """Move emitted messages to the intra-shard hold queue or the
-        coordinator-bound list (self-delivery mode)."""
+        """Move emitted messages to the hold queue (owned targets) or to
+        ``foreign`` (targets another shard owns)."""
         for message in self._outbound:
             if message.target_index in self.devices or \
                     message.target_index in self._macro_index:
-                self._held.append(message)
+                self._held.setdefault(message.delivery_epoch,
+                                      []).append(message)
             else:
                 foreign.append(message)
         self._outbound.clear()
-
-    def _run_to(self, until_us: Optional[float]) -> None:
-        """``sim.run`` segmented at fault barriers (lockstep/drain path).
-
-        A granted window may span a fault barrier (the coordinator windows
-        over the fleet-wide minimum); stopping at each pending barrier and
-        applying the flips there reproduces exactly the event ordering the
-        self-delivering path produces: events at the barrier first, then
-        the flips, then everything beyond.
-        """
-        epoch_us = self.topology.epoch_us
-        while self._flip_index < len(self._flips):
-            barrier = self._flips[self._flip_index].epoch * epoch_us
-            if until_us is not None and barrier > until_us:
-                break
-            self.sim.run(until=barrier)
-            self._apply_due_faults()
-        self.sim.run(until=until_us)
 
     def _peek(self) -> float:
         """Next pending event time, folding in pending fault barriers (a
@@ -644,28 +603,17 @@ class ShardWorker:
         half = (capacity // 2) - (capacity // 2) % 4096
         chunk = min(policy.rebuild_chunk_bytes, max(4096, half))
         chunks = math.ceil(rebuilt / chunk)
-        epoch_us = topology.epoch_us
         emitted = 0
         last_epoch = flip.epoch
-
-        def emit(target: int, kind: str, offset: int, size: int,
-                 delivery_epoch: int) -> None:
-            seq = self._origin_seq.get(origin, 0)
-            self._origin_seq[origin] = seq + 1
-            self._outbound.append(ReplicaMessage(
-                delivery_us=delivery_epoch * epoch_us, target_index=target,
-                offset=offset, size=size, origin_index=origin,
-                origin_seq=seq, delivery_epoch=delivery_epoch, kind=kind))
-
         for j in range(chunks):
             size = min(chunk, rebuilt - j * chunk)
             size += (-size) % 4096
             delivery_epoch = flip.epoch + 1 + j // policy.rebuild_chunks_per_epoch
             if sources:
-                emit(sources[j % len(sources)], "rebuild-read",
-                     j * chunk, size, delivery_epoch)
-            emit(targets[j % len(targets)], "rebuild",
-                 j * chunk, size, delivery_epoch)
+                self._emit(origin, sources[j % len(sources)], j * chunk,
+                           size, "rebuild-read", delivery_epoch)
+            self._emit(origin, targets[j % len(targets)], j * chunk, size,
+                       "rebuild", delivery_epoch)
             emitted += size
             last_epoch = delivery_epoch
         return chunks, emitted, last_epoch

@@ -271,6 +271,18 @@ class FleetTopology:
     def edges_from(self, group_name: str) -> list[ReplicationEdge]:
         return [edge for edge in self.edges if edge.source == group_name]
 
+    def coupling_spans(self) -> list[list[int]]:
+        """Global indices that may exchange messages: each replication
+        edge's source plus target group, and each fault's group plus its
+        spare group.  Shards whose devices share a span must synchronise."""
+        spans = [self.group_indices(edge.source)
+                 + self.group_indices(edge.target) for edge in self.edges]
+        spans.extend(self.group_indices(fault.group)
+                     + (self.group_indices(fault.spare)
+                        if fault.spare is not None else [])
+                     for fault in self.faults)
+        return spans
+
     def macro_groups(self) -> list[DeviceGroup]:
         """The groups simulated as mean-field aggregates (may be empty)."""
         return [group for group in self.groups if group.mode == "macro"]

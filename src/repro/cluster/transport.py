@@ -1,10 +1,10 @@
 """Shard transports: how the coordinator exchanges batches with shards.
 
-The conservative epoch loop in :mod:`repro.cluster.coordinator` is
-transport-agnostic: it *posts* an advance grant to each shard (a barrier
-time plus a batch of inbound :class:`ReplicaMessage`), *waits* for the
-``(outbound, peek, ran)`` response, and finally *collects* each shard's
-metrics payload.  :class:`ShardTransport` is that contract; two
+The conservative window loop in :mod:`repro.cluster.coordinator` is
+transport-agnostic: it *posts* an advance grant to each shard (a closing
+barrier time plus the :class:`ReplicaMessage` batch routed to it), *waits*
+for the ``(outbound, peek, ran)`` response, and finally *collects* each
+shard's metrics payload.  :class:`ShardTransport` is that contract; two
 implementations ship:
 
 * :class:`InProcessTransport` -- every shard is a plain in-process
@@ -315,24 +315,21 @@ class ShardTransport:
     """How the coordinator talks to its shards.
 
     The coordinator *posts* one advance grant per shard per round --
-    ``(until_us, inbound batch, self_deliver)`` -- then *waits* for each
+    ``(until_us, inbound batch)`` -- then *waits* for each
     ``(outbound, peek, ran)`` response; posting everything before waiting
     is what lets process transports run shards concurrently.  At the end
     of a run :meth:`collect_all` publishes every shard's metrics payload
     and :meth:`close` tears the transport down (idempotent; always called,
-    even on error paths).
-
-    Implementations must preserve batch order exactly: the coordinator's
-    bit-identity proof sorts inbound batches *before* posting and assumes
-    the shard sees that order.
+    even on error paths).  Batch order carries no meaning: the shard holds
+    each message until its delivery barrier and sorts every barrier's
+    batch by :func:`~repro.cluster.shard.inbox_order`.
     """
 
     #: Short name recorded in ``runtime["transport"]`` and bench entries.
     name = "abstract"
 
     def post(self, shard_id: int, until_us: Optional[float],
-             inbound: Sequence[ReplicaMessage],
-             self_deliver: bool = False) -> None:
+             inbound: Sequence[ReplicaMessage]) -> None:
         raise NotImplementedError
 
     def wait(self, shard_id: int,
@@ -348,16 +345,6 @@ class ShardTransport:
     def close(self) -> None:
         raise NotImplementedError
 
-    # -- convenience wrappers (the barrier-free fast path uses these) -----
-
-    def advance_all(self, until_us: Optional[float],
-                    inboxes: Sequence[list[ReplicaMessage]],
-                    self_deliver: bool = False,
-                    ) -> list[tuple[list[ReplicaMessage], float, int]]:
-        for shard_id, inbox in enumerate(inboxes):
-            self.post(shard_id, until_us, inbox, self_deliver)
-        return [self.wait(shard_id) for shard_id in range(len(inboxes))]
-
 
 class InProcessTransport(ShardTransport):
     """All shards as in-process objects (the serial / test path)."""
@@ -368,9 +355,9 @@ class InProcessTransport(ShardTransport):
         self.workers = [ShardWorker(topology, plan) for plan in plans]
         self._results: dict[int, tuple] = {}
 
-    def post(self, shard_id, until_us, inbound, self_deliver=False):
+    def post(self, shard_id, until_us, inbound):
         self._results[shard_id] = self.workers[shard_id].advance(
-            until_us, list(inbound) if inbound else None, self_deliver)
+            until_us, inbound)
 
     def wait(self, shard_id):
         return self._results.pop(shard_id)
@@ -409,7 +396,6 @@ _OP_COLLECT = 2
 _OP_STOP = 3
 
 _FLAG_UNTIL = 1          # until_us is set (else drain-to-completion)
-_FLAG_SELF_DELIVER = 2
 
 _STATE_STARTING = 0
 _STATE_READY = 1
@@ -483,8 +469,7 @@ def _shm_worker_main(shm_name: str, ring_slots: int, spin_budget: int,
                     flags = words[_CTRL_FLAGS]
                     until = reals[_CTRL_UNTIL] if flags & _FLAG_UNTIL \
                         else None
-                    out, peek, ran = worker.advance(
-                        until, batch, bool(flags & _FLAG_SELF_DELIVER))
+                    out, peek, ran = worker.advance(until, batch)
                     pushed = outbound.push(out)
                     if pushed < len(out):
                         conn.send(("spill", out[pushed:]))
@@ -630,14 +615,12 @@ class SharedMemoryTransport(ShardTransport):
             self.close()
             raise
 
-    def post(self, shard_id, until_us, inbound, self_deliver=False):
+    def post(self, shard_id, until_us, inbound):
         shard = self._shards[shard_id]
         inbound = list(inbound)
-        flags = _FLAG_SELF_DELIVER if self_deliver else 0
         if until_us is not None:
-            flags |= _FLAG_UNTIL
             shard.reals[_CTRL_UNTIL] = until_us
-        shard.words[_CTRL_FLAGS] = flags
+        shard.words[_CTRL_FLAGS] = 0 if until_us is None else _FLAG_UNTIL
         shard.words[_CTRL_OPCODE] = _OP_ADVANCE
         pushed = shard.inbound.push(inbound)
         shard.words[_CTRL_IN_COUNT] = len(inbound)
@@ -713,9 +696,10 @@ def coupling_components(topology: FleetTopology,
                         owner: dict[int, int],
                         shards: int) -> list[list[int]]:
     """Partition shard ids into coupling components: shards joined by a
-    cross-shard replication edge (or a fault group/spare pair) may
-    exchange messages and must lockstep together; a singleton component
-    can never see cross-shard traffic and keeps its batched ``run_ahead``
+    cross-shard replication edge (or a fault group/spare pair -- see
+    :meth:`~repro.cluster.topology.FleetTopology.coupling_spans`) may
+    exchange messages and share one-epoch windows; a singleton component
+    can never see cross-shard traffic and gets ``run_ahead``-epoch
     windows.  Union-find over shard ids, deterministic order."""
     parent = list(range(shards))
 
@@ -730,19 +714,8 @@ def coupling_components(topology: FleetTopology,
         for root in roots[1:]:
             parent[root] = roots[0]
 
-    for edge in topology.edges:
-        touched = {owner[index]
-                   for index in topology.group_indices(edge.source)}
-        touched.update(owner[index]
-                       for index in topology.group_indices(edge.target))
-        union(touched)
-    for fault in topology.faults:
-        touched = {owner[index]
-                   for index in topology.group_indices(fault.group)}
-        if fault.spare is not None:
-            touched.update(owner[index]
-                           for index in topology.group_indices(fault.spare))
-        union(touched)
+    for span in topology.coupling_spans():
+        union({owner[index] for index in span})
 
     components: dict[int, list[int]] = {}
     for sid in range(shards):

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import (
     FleetRunConfig,
+    FleetTopology,
     SharedMemoryTransport,
     edge,
     fault,
@@ -358,6 +359,23 @@ def test_fault_spare_pair_is_coupled():
     assert len(component) >= len(touched)
 
 
+@pytest.mark.parametrize("topology", [mini_fleet(), faulted_fleet()],
+                         ids=["edge", "fault"])
+def test_shard_knows_it_is_coupled_without_being_told(topology):
+    """No coupling flag crosses the transport: each shard derives it from
+    the topology and its plan, and must agree with the coordinator's
+    components."""
+    plans = partition_topology(topology, 3)
+    owner = {i: p.shard_id for p in plans for i in p.device_indices}
+    coupled = {sid for component in coupling_components(
+        topology, owner, len(plans)) if len(component) > 1
+        for sid in component}
+    assert coupled
+    transport = create_transport("local", topology, plans)
+    assert [worker._coupled for worker in transport.workers] == \
+        [plan.shard_id in coupled for plan in plans]
+
+
 # ---------------------------------------------------------------------------
 # Cross-transport bit-identity (the non-negotiable contract)
 # ---------------------------------------------------------------------------
@@ -414,9 +432,10 @@ def test_macro_fleet_identical_across_transports(small_spin):
 
 @pytest.mark.parametrize("run_ahead", [1, 4, 64])
 def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
-    """mini_fleet at 3 shards splits into one lockstep pair (db+mirror,
-    coupled by the replication edge) and singleton web shards that keep
-    batched run-ahead windows -- both gears in one run."""
+    """mini_fleet at 3 shards splits into one coupled pair (db+mirror,
+    joined by the replication edge) on one-epoch windows and singleton
+    web shards on ``run_ahead``-epoch windows -- both cursors in one
+    run."""
     reference = strip_runtime(run_fleet_serial(mini_fleet()))
     payload = run_fleet(mini_fleet(), FleetRunConfig(
         shards=3, transport="local", run_ahead=run_ahead))
@@ -424,6 +443,30 @@ def test_mixed_gear_run_ahead_is_bit_identical(run_ahead):
     assert runtime["components"] == 2
     assert runtime["lockstep_shards"] == 2
     assert strip_runtime(payload) == reference
+
+
+def _failover_storm_quick_cells():
+    from repro.experiments.scenarios import get_scenario
+    from repro.experiments.sweep import quick_cells
+
+    return [cell for cell in quick_cells(get_scenario("failover-storm").cells())
+            if cell.fleet is not None]
+
+
+@pytest.mark.parametrize(
+    "cell", _failover_storm_quick_cells(),
+    ids=lambda cell: f"chunks_per_epoch={cell.labels[-1][1]}")
+def test_closing_barrier_waits_for_peer_messages(cell):
+    """At 3 shards the failover-storm fleet couples shards whose own
+    replica/rebuild messages share delivery barriers with a peer's.  A
+    shard that injected its own messages due on a window's closing
+    barrier inside that window would run them before the peer's
+    messages for the same barrier arrive, breaking the ``inbox_order``
+    batch and the payload."""
+    topology = FleetTopology.from_json(cell.fleet)
+    payload = run_fleet(topology, FleetRunConfig(shards=3, transport="local"))
+    assert payload["runtime"]["lockstep_shards"] > 1
+    assert strip_runtime(payload) == strip_runtime(run_fleet_serial(topology))
 
 
 # ---------------------------------------------------------------------------
